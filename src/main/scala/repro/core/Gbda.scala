@@ -80,6 +80,16 @@ object Gbda {
     res
   }
 
+  /** Steps 3–4 for one database graph G against the query Q: returns
+    * `(φ, Φ)` with `φ = GBD(Q,G)` and Φ evaluated at the extended size
+    * `v = max(|V_Q|, |V_G|)`.
+    */
+  def score(nv: Int, branches: Array[String], queryN: Int, queryBranches: Array[String],
+      model: GbdaModel): (Int, Double) = {
+    val gbd = GbdaOps.gbdFromSortedBranches(branches, queryBranches)
+    (gbd, phi(gbd, math.max(nv, queryN).toLong, model))
+  }
+
   /** Driver-side reference of the full Algorithm 1 loop over a database of
     * (id, |V|, sorted branch multiset) triples; returns (id, gbd, Φ) for the
     * graphs passing `Φ ≥ γ`. Used by tests as the ground truth for the
@@ -92,8 +102,7 @@ object Gbda {
       model: GbdaModel,
       gamma: Double): Seq[(Long, Int, Double)] =
     db.flatMap { case (id, nv, branches) =>
-      val gbd = GbdaOps.gbdFromSortedBranches(branches, queryBranches)
-      val p = phi(gbd, math.max(nv, queryN).toLong, model)
+      val (gbd, p) = score(nv, branches, queryN, queryBranches, model)
       if (p >= gamma) Some((id, gbd, p)) else None
     }
 }

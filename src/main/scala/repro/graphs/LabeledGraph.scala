@@ -4,7 +4,7 @@ import repro.core.GbdaOps
 
 /** An undirected edge between vertex indices `u < v` with a label. */
 final case class Edge(u: Int, v: Int, label: String) extends Serializable {
-  require(u != v, s"self-loops are not allowed (simple graphs): $u")
+  require(u < v, s"edge endpoints must satisfy u < v (simple graphs, no self-loops): ($u, $v)")
 }
 
 /** Simple labelled undirected graph (Section 2): vertices are indexed
@@ -19,6 +19,10 @@ final case class Edge(u: Int, v: Int, label: String) extends Serializable {
 final case class LabeledGraph(id: Long, vertexLabels: Array[String], edges: Array[Edge])
     extends Serializable {
   val n: Int = vertexLabels.length
+  edges.foreach(e =>
+    require(e.u >= 0 && e.v < n, s"graph $id: edge (${e.u}, ${e.v}) outside 0 until $n"))
+  require(edges.iterator.map(e => (e.u, e.v)).distinct.size == edges.length,
+    s"graph $id: more than one edge between the same pair of vertices")
   def m: Int = edges.length
   def avgDegree: Double = if (n == 0) 0.0 else 2.0 * m / n
 
@@ -43,10 +47,6 @@ final case class LabeledGraph(id: Long, vertexLabels: Array[String], edges: Arra
     val (a, b) = if (i < j) (i, j) else (j, i)
     edges.collectFirst { case Edge(`a`, `b`, l) => l }
   }
-
-  /** Branch rooted at vertex i, as a signature string (Def. 2). */
-  def branchOf(i: Int): String =
-    LabeledGraph.branchSig(vertexLabels(i), adjacency(i).map(_._2))
 
   /** Sorted multiset of all branch signatures B_G (Def. 2). */
   lazy val branches: Array[String] =
@@ -81,7 +81,4 @@ object LabeledGraph {
   /** GBD(G₁,G₂) = max(|V₁|,|V₂|) − |B₁ ∩ B₂| (Def. 4). */
   def gbd(g1: LabeledGraph, g2: LabeledGraph): Int =
     GbdaOps.gbdFromSortedBranches(g1.branches, g2.branches)
-
-  /** Two branches are isomorphic iff their signatures are equal (Def. 3). */
-  def branchIsomorphic(b1: String, b2: String): Boolean = b1 == b2
 }

@@ -3,13 +3,12 @@ package repro.harness
 import org.apache.spark.sql.SparkSession
 
 import repro.core.Gmm
-import repro.spark.{GbdSpark, GraphFrames}
-
-import scala.util.Random
+import repro.spark.{GbdaSearch, GraphFrames}
 
 /** Table 3: time and space costs of computing the GBD prior distribution
   * (Section 5.2.1 / 6.3.1): sample N graph pairs, compute their GBDs
-  * distributed, fit the GMM, tabulate Pr[GBD=φ] for φ ∈ [0, n].
+  * distributed, fit the GMM (all three as in [[GbdaSearch.fitModel]]),
+  * tabulate Pr[GBD=φ] for φ ∈ [0, n].
   */
 object Table3GbdPrior {
 
@@ -20,22 +19,10 @@ object Table3GbdPrior {
           nPairs: Int, gmmK: Int = 3, seed: Long = 7): Row = {
     val graphsDf = GraphFrames.toBranchDf(spark, db).cache()
     graphsDf.count() // materialize outside the timed region (stored structures)
-    import spark.implicits._
     val ids = db.map(_.id).toArray
     val (result, ms) = TableText.timeMs {
-      // Step 1.1: sample pairs
-      val rng = new Random(seed)
-      val pairs = Seq.fill(nPairs) {
-        val i = rng.nextInt(ids.length)
-        var j = rng.nextInt(ids.length)
-        while (j == i) j = rng.nextInt(ids.length)
-        (ids(i), ids(j))
-      }
-      // Step 1.2: distributed pairwise GBDs
-      val gbds = GbdSpark.pairwiseGbd(graphsDf, pairs.toDF("gid1", "gid2"))
-        .select("gbd").collect().map(_.getInt(0).toDouble)
-      // Step 1.3: GMM
-      val gmm = Gmm.fit(gbds, gmmK)
+      // Steps 1.1–1.3: fitModel's own pair sampling, pairwise GBD and GMM fit
+      val gmm = GbdaSearch.fitGbdPrior(graphsDf, ids, nPairs, gmmK, seed)
       // Step 1.4: tabulate Pr[GBD=φ], φ ∈ [0, n]
       val nMax = db.map(_.n).max
       val table = Array.tabulate(nMax + 1)(phi => gmm.intervalProb(phi.toDouble))

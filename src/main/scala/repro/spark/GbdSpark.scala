@@ -8,12 +8,12 @@ import repro.graphs.LabeledGraph
 
 /** Distributed GBD computation (Def. 4) over graph-dataset DataFrames.
   *
-  * Two equivalent paths:
-  *   - a pure-Catalyst path over exploded branch counts (explode → groupBy →
-  *     broadcast join → Σ min(cnt, qcnt)), which is SQL-expressible and is
-  *     cross-checked against DuckDB by [[repro.Oracle]];
-  *   - a two-pointer UDF over the stored sorted branch arrays (the O(nd)
-  *     algorithm of Section 3), used by the online search.
+  *   - [[gbdVsAllJoin]]: a pure-Catalyst path over exploded branch counts
+  *     (explode → groupBy → broadcast join → Σ min(cnt, qcnt)). It is
+  *     SQL-expressible, so [[repro.Oracle]] cross-checks it against DuckDB,
+  *     and the served search ([[GbdaSearch.search]]) is checked against it.
+  *   - [[pairwiseGbd]]: the two-pointer kernel (the O(nd) algorithm of
+  *     Section 3) over an explicit pair list, for the offline GBD prior.
   */
 object GbdSpark {
 
@@ -38,17 +38,6 @@ object GbdSpark {
           .cast("int").as("gbd"))
   }
 
-  /** GBD(Q, G) for every graph via the two-pointer UDF over the stored
-    * sorted branch multisets (query branches broadcast in the closure).
-    */
-  def gbdVsAllUdf(graphs: DataFrame, query: LabeledGraph): DataFrame = {
-    val qb = query.branches
-    val gbdUdf = udf { (branches: Seq[String]) =>
-      GbdaOps.gbdFromSortedBranches(branches.toArray, qb)
-    }
-    graphs.select(col("gid"), gbdUdf(col("branches")).as("gbd"))
-  }
-
   /** GBD for an explicit pair list `(gid1, gid2)` — the offline sampling
     * step of the GBD prior (Section 5.2.1, Steps 1.1–1.2).
     */
@@ -62,18 +51,5 @@ object GbdSpark {
       .join(left, "gid1")
       .join(right, "gid2")
       .select(col("gid1"), col("gid2"), gbdUdf(col("b1"), col("b2")).as("gbd"))
-  }
-
-  /** Bulk similarity-join-style GBD: every (query, db) pair, with the query
-    * set broadcast. Returns `(qid, gid, gbd)`.
-    */
-  def gbdCross(dbGraphs: DataFrame, queryGraphs: DataFrame): DataFrame = {
-    val gbdUdf = udf { (b1: Seq[String], b2: Seq[String]) =>
-      GbdaOps.gbdFromSortedBranches(b1.toArray, b2.toArray)
-    }
-    val q = queryGraphs.select(
-      col("gid").as("qid"), col("nv").as("qnv"), col("branches").as("qb"))
-    dbGraphs.crossJoin(broadcast(q))
-      .select(col("qid"), col("gid"), gbdUdf(col("qb"), col("branches")).as("gbd"))
   }
 }

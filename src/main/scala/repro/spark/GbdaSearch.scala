@@ -17,8 +17,10 @@ import scala.util.Random
   * offline processes (Section 7.2).
   *
   * Online stage ([[search]]): the fitted model and the query's branch
-  * multiset are broadcast; a UDF computes `φ = GBD(Q,G)` (two-pointer,
-  * O(nd)) and `Φ = Σ_{τ≤τ̂} Λ₁·Λ₂` (O(τ̂³)) per row, then filters `Φ ≥ γ`.
+  * multiset are broadcast; a UDF computes `(φ, Φ)` per row with
+  * [[Gbda.score]] — `φ = GBD(Q,G)` (two-pointer, O(nd)) and
+  * `Φ = Σ_{τ≤τ̂} Λ₁·Λ₂` (O(τ̂³)) — then filters `Φ ≥ γ`. One query is one
+  * Spark job.
   */
 object GbdaSearch {
 
@@ -38,23 +40,8 @@ object GbdaSearch {
       extraVs: Seq[Long] = Nil): GbdaModel = {
     val spark = graphs.sparkSession
     val ids = graphs.select("gid", "nv").collect().map(r => (r.getLong(0), r.getInt(1)))
-    require(ids.length >= 2, "need at least two graphs to fit priors")
 
-    // Steps 1.1–1.2: sampled pairwise GBDs, computed distributed.
-    val rng = new Random(seed)
-    val pairs = Seq.fill(nPairs) {
-      val i = rng.nextInt(ids.length)
-      var j = rng.nextInt(ids.length)
-      while (j == i) j = rng.nextInt(ids.length)
-      (ids(i)._1, ids(j)._1)
-    }
-    import spark.implicits._
-    val pairsDf = pairs.toDF("gid1", "gid2")
-    val gbds = GbdSpark.pairwiseGbd(graphs, pairsDf)
-      .select("gbd").collect().map(_.getInt(0).toDouble)
-
-    // Step 1.3–1.4: GMM of the sampled GBDs.
-    val gmm = Gmm.fit(gbds, gmmK)
+    val gmm = fitGbdPrior(graphs, ids.map(_._1), nPairs, gmmK, seed)
 
     // Alphabet sizes |L_V|, |L_E| enter D (Eq. 13).
     val nVL = math.max(1L, graphs.select(explode(col("vlabels"))).distinct().count()).toInt
@@ -71,29 +58,42 @@ object GbdaSearch {
     GbdaModel(tauHat, nVL, nEL, priorRows.toMap, gmm)
   }
 
-  /** Online stage for one query: returns `(gid, gbd, phi)` rows with
-    * `Φ ≥ γ` (Steps 2–4 of Algorithm 1).
+  /** Offline Steps 1.1–1.3, the GBD prior: sample `nPairs` pairs of distinct
+    * graphs from `ids`, compute their GBDs distributed
+    * ([[GbdSpark.pairwiseGbd]]), and fit a `gmmK`-component GMM to them.
     */
-  def search(graphs: DataFrame, model: GbdaModel, query: LabeledGraph, gamma: Double): DataFrame =
-    scored(graphs, model, query).filter(col("phi") >= gamma)
-
-  /** Online stage without the final γ filter (used by benches that sweep γ). */
-  def scored(graphs: DataFrame, model: GbdaModel, query: LabeledGraph): DataFrame = {
+  def fitGbdPrior(graphs: DataFrame, ids: Array[Long], nPairs: Int, gmmK: Int, seed: Long): Gmm = {
+    require(ids.length >= 2, "need at least two graphs to fit priors")
+    val rng = new Random(seed)
+    val pairs = Seq.fill(nPairs) {
+      val i = rng.nextInt(ids.length)
+      var j = rng.nextInt(ids.length)
+      while (j == i) j = rng.nextInt(ids.length)
+      (ids(i), ids(j))
+    }
     val spark = graphs.sparkSession
-    // Cover every extended size v = max(|V_Q|, |V_G|) on the driver so the
-    // broadcast table is complete (executors could also compute lazily).
-    val nvs = graphs.select("nv").distinct().collect().map(_.getInt(0).toLong)
-    val full = model.ensureVs(nvs.map(v => math.max(v, query.n.toLong)).toSeq)
-    val bcModel = spark.sparkContext.broadcast(full)
+    import spark.implicits._
+    val gbds = GbdSpark.pairwiseGbd(graphs, pairs.toDF("gid1", "gid2"))
+      .select("gbd").collect().map(_.getInt(0).toDouble)
+    Gmm.fit(gbds, gmmK)
+  }
+
+  /** Online stage for one query: returns `(gid, gbd, phi)` rows with
+    * `Φ ≥ γ` (Steps 2–4 of Algorithm 1). Φ lies in [0, 1], so `γ = 0`
+    * scores every graph.
+    */
+  def search(graphs: DataFrame, model: GbdaModel, query: LabeledGraph, gamma: Double): DataFrame = {
+    // fitModel tabulates every |V_G|, so v = max(|V_Q|, |V_G|) can only be
+    // missing when it is |V_Q|; any other gap is computed on the fly.
+    val bcModel = graphs.sparkSession.sparkContext.broadcast(model.ensureVs(Seq(query.n.toLong)))
     val qb = query.branches
     val qn = query.n
     val scoreUdf = udf { (branches: Seq[String], nv: Int) =>
-      val gbd = GbdaOps.gbdFromSortedBranches(branches.toArray, qb)
-      val m = bcModel.value
-      (gbd, Gbda.phi(gbd, math.max(nv, qn).toLong, m))
+      Gbda.score(nv, branches.toArray, qn, qb, bcModel.value)
     }
     graphs
       .select(col("gid"), scoreUdf(col("branches"), col("nv")).as("s"))
       .select(col("gid"), col("s._1").as("gbd"), col("s._2").as("phi"))
+      .filter(col("phi") >= gamma)
   }
 }

@@ -7,9 +7,6 @@ import repro.TestGraphs.{g1, g2, randomSmall}
 class LabeledGraphSpec extends AnyFunSuite {
 
   test("Example 2: branches of G1") {
-    assert(g1.branchOf(0) == "A|y,y")
-    assert(g1.branchOf(1) == "C|y,z")
-    assert(g1.branchOf(2) == "B|y,z")
     assert(g1.branches.toSeq == Seq("A|y,y", "B|y,z", "C|y,z"))
   }
 
@@ -28,9 +25,11 @@ class LabeledGraphSpec extends AnyFunSuite {
   }
 
   test("branch isomorphism (Def. 3) via signature equality") {
-    assert(LabeledGraph.branchIsomorphic("A|x,y", "A|x,y"))
-    assert(!LabeledGraph.branchIsomorphic("A|x,y", "A|y,x")) // signatures are canonical-sorted already
-    assert(!LabeledGraph.branchIsomorphic("A|x", "B|x"))
+    import LabeledGraph.branchSig
+    // the order of incident edges is irrelevant
+    assert(branchSig("A", Seq("y", "x")) == branchSig("A", Seq("x", "y")))
+    assert(branchSig("A", Seq("x")) != branchSig("B", Seq("x")))
+    assert(branchSig("A", Seq("x", "x")) != branchSig("A", Seq("x"))) // incident labels form a multiset
   }
 
   test("branch signature sorts incident labels (canonical form)") {
@@ -54,6 +53,20 @@ class LabeledGraphSpec extends AnyFunSuite {
 
   test("self-loops are rejected") {
     intercept[IllegalArgumentException](Edge(3, 3, "x"))
+  }
+
+  test("edges oriented u > v are rejected") {
+    intercept[IllegalArgumentException](Edge(2, 1, "x"))
+  }
+
+  test("edge endpoints outside 0 until n are rejected") {
+    intercept[IllegalArgumentException](LabeledGraph(1L, Array("A", "B"), Array(Edge(0, 2, "x"))))
+    intercept[IllegalArgumentException](LabeledGraph(1L, Array("A", "B"), Array(Edge(-1, 1, "x"))))
+  }
+
+  test("two edges between the same pair of vertices are rejected") {
+    intercept[IllegalArgumentException](
+      LabeledGraph(1L, Array("A", "B", "C"), Array(Edge(0, 1, "x"), Edge(1, 2, "x"), Edge(0, 1, "y"))))
   }
 
   test("adjacency is consistent with edges") {

@@ -20,16 +20,17 @@ class GbdSparkSpec extends SparkSpec {
     }
   }
 
-  test("gbdVsAllUdf (two-pointer path) equals the in-memory GBD") {
-    val got = GbdSpark.gbdVsAllUdf(dbDf, g1).collect()
-      .map(r => r.getLong(0) -> r.getInt(1)).toMap
-    db.foreach(g => assert(got(g.id) == LabeledGraph.gbd(g1, g), s"gid=${g.id}"))
-  }
-
   test("the two distributed GBD paths agree with each other") {
-    val a = GbdSpark.gbdVsAllJoin(dbDf, g2).collect().map(r => (r.getLong(0), r.getInt(1))).sortBy(_._1)
-    val b = GbdSpark.gbdVsAllUdf(dbDf, g2).collect().map(r => (r.getLong(0), r.getInt(1))).sortBy(_._1)
-    assert(a.toSeq == b.toSeq)
+    // The served search's gbd column (two-pointer kernel) against the
+    // Catalyst join, which the DuckDB oracle checks below.
+    val model = GbdaSearch.fitModel(dbDf, tauHat = 3, nPairs = 100)
+    for (q <- Seq(g1, g2, randomSmall(999, 10))) {
+      val served = GbdaSearch.search(dbDf, model, q, gamma = 0.0).collect()
+        .map(r => r.getLong(0) -> r.getInt(1)).toMap
+      val join = GbdSpark.gbdVsAllJoin(dbDf, q).collect().map(r => r.getLong(0) -> r.getInt(1)).toMap
+      assert(served.size == db.size, s"query ${q.id}")
+      assert(served == join, s"query ${q.id}")
+    }
   }
 
   test("gbdVsAllJoin result matches DuckDB SQL over the exploded branch tables (Oracle)") {
@@ -61,16 +62,6 @@ class GbdSparkSpec extends SparkSpec {
     pairs.foreach { case (a, b) =>
       assert(got((a, b)) == LabeledGraph.gbd(byId(a), byId(b)), s"pair=($a,$b)")
     }
-  }
-
-  test("gbdCross computes the full bulk similarity-join GBD matrix") {
-    val queries = Seq(g1, randomSmall(999, 6))
-    val qDf = GraphFrames.toBranchDf(spark, queries)
-    val got = GbdSpark.gbdCross(dbDf, qDf).collect()
-      .map(r => (r.getLong(0), r.getLong(1)) -> r.getInt(2)).toMap
-    assert(got.size == queries.size * db.size)
-    for (q <- queries; g <- db)
-      assert(got((q.id, g.id)) == LabeledGraph.gbd(q, g), s"(${q.id},${g.id})")
   }
 
   test("distributed GBD on the Appendix-F families reproduces known structure") {

@@ -1,9 +1,11 @@
 package repro.spark
 
+import org.scalatest.concurrent.Eventually._
+import org.scalatest.time.{Seconds, Span}
+
 import repro.SparkSpec
-import repro.TestGraphs.randomSmall
 import repro.core.Gbda
-import repro.graphs.{GraphGen, LabeledGraph}
+import repro.graphs.{Edge, GraphGen, LabeledGraph}
 
 class GbdaSearchSpec extends SparkSpec {
 
@@ -42,26 +44,28 @@ class GbdaSearchSpec extends SparkSpec {
   }
 
   test("distributed search equals the driver-side reference (all gammas)") {
-    val q = db(5)
-    val ref = Gbda.search(db.map(g => (g.id, g.n, g.branches)), q.n, q.branches, model, gamma = 0.0)
-      .map(t => t._1 -> (t._2, t._3)).toMap
-    val scoredRows = GbdaSearch.scored(dbDf, model, q).collect()
-      .map(r => r.getLong(0) -> (r.getInt(1), r.getDouble(2))).toMap
-    assert(scoredRows.keySet == ref.keySet)
-    scoredRows.foreach { case (gid, (gbd, phi)) =>
-      assert(gbd == ref(gid)._1, s"gid=$gid")
-      assert(math.abs(phi - ref(gid)._2) < 1e-9, s"gid=$gid")
-    }
-    for (gamma <- Seq(0.3, 0.6, 0.9)) {
-      val got = GbdaSearch.search(dbDf, model, q, gamma).collect().map(_.getLong(0)).toSet
-      val expected = ref.collect { case (gid, (_, phi)) if phi >= gamma => gid }.toSet
-      assert(got == expected, s"gamma=$gamma")
+    // db(5) plus a two-vertex tail: a size no database graph has, so it is
+    // missing from the fitted prior table.
+    val base = db(5)
+    val grown = LabeledGraph(6000L, base.vertexLabels ++ Array("A", "B"),
+      base.edges ++ Array(Edge(0, base.n, "x"), Edge(base.n, base.n + 1, "y")))
+    assert(!model.gedPrior.contains(grown.n.toLong))
+    for (q <- Seq(base, grown); gamma <- Seq(0.0, 0.3, 0.6, 0.9)) {
+      val ref = Gbda.search(db.map(g => (g.id, g.n, g.branches)), q.n, q.branches, model, gamma)
+        .map(t => t._1 -> (t._2, t._3)).toMap
+      val served = GbdaSearch.search(dbDf, model, q, gamma).collect()
+        .map(r => r.getLong(0) -> (r.getInt(1), r.getDouble(2))).toMap
+      assert(served.keySet == ref.keySet, s"query=${q.id} gamma=$gamma")
+      served.foreach { case (gid, (gbd, phi)) =>
+        assert(gbd == ref(gid)._1, s"query=${q.id} gamma=$gamma gid=$gid")
+        assert(math.abs(phi - ref(gid)._2) < 1e-9, s"query=${q.id} gamma=$gamma gid=$gid")
+      }
     }
   }
 
   test("phi values are probabilities and the query itself scores highest") {
     val q = db.head
-    val rows = GbdaSearch.scored(dbDf, model, q).collect()
+    val rows = GbdaSearch.search(dbDf, model, q, gamma = 0.0).collect()
       .map(r => (r.getLong(0), r.getInt(1), r.getDouble(2)))
     rows.foreach { case (_, gbd, phi) =>
       assert(phi >= 0.0 && phi <= 1.0)
@@ -80,14 +84,32 @@ class GbdaSearchSpec extends SparkSpec {
 
   test("searching with a far-away query returns nothing") {
     val far = LabeledGraph(5000L, Array.fill(6)("ZZZ"),
-      Array(repro.graphs.Edge(0, 1, "qq"), repro.graphs.Edge(2, 3, "qq")))
+      Array(Edge(0, 1, "qq"), Edge(2, 3, "qq")))
     val res = GbdaSearch.search(dbDf, model, far, gamma = 0.5).collect()
     assert(res.isEmpty)
   }
 
-  test("scored covers every database graph exactly once") {
+  test("search at gamma 0 covers every database graph exactly once") {
     val q = db(3)
-    val rows = GbdaSearch.scored(dbDf, model, q).collect()
+    val rows = GbdaSearch.search(dbDf, model, q, gamma = 0.0).collect()
     assert(rows.map(_.getLong(0)).sorted.toSeq == db.map(_.id).sorted)
+  }
+
+  test("one served query runs exactly one Spark job") {
+    val sc = spark.sparkContext
+    val m = model // fit outside the measured job group
+    dbDf.count()
+    sc.setJobGroup("gbda-search", "one served query")
+    try GbdaSearch.search(dbDf, m, db(7), gamma = 0.5).collect()
+    finally sc.clearJobGroup()
+    // Job events reach the status tracker asynchronously but in order, so
+    // once a later marker job is visible every job of the query is too.
+    sc.setJobGroup("gbda-marker", "marker")
+    try sc.parallelize(Seq(1), 1).count()
+    finally sc.clearJobGroup()
+    eventually(timeout(Span(30, Seconds))) {
+      assert(sc.statusTracker.getJobIdsForGroup("gbda-marker").nonEmpty)
+    }
+    assert(sc.statusTracker.getJobIdsForGroup("gbda-search").length == 1)
   }
 }
