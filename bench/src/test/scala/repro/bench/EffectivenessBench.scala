@@ -20,8 +20,8 @@ class EffectivenessBench extends SparkSpec {
 
       assert(rows.nonEmpty)
       rows.foreach { r =>
-        assert(r.precision >= 0 && r.precision <= 1, r.toString)
-        assert(r.recall >= 0 && r.recall <= 1, r.toString)
+        assert(r.counts.precision >= 0 && r.counts.precision <= 1, r.toString)
+        assert(r.counts.recall >= 0 && r.counts.recall <= 1, r.toString)
       }
       // every tauHat has all four methods
       for (th <- 1 to 5) {
@@ -29,15 +29,15 @@ class EffectivenessBench extends SparkSpec {
         assert(here.map(_.method).toSet ==
           Set("GBDA", "LSAP", "Greedy-Sort-GED", "Seriation"))
         // ground-truth positives (tp+fn) are consistent across methods
-        assert(here.map(r => r.tp + r.fn).distinct.size == 1, s"tauHat=$th")
+        assert(here.map(r => r.counts.tp + r.counts.fn).distinct.size == 1, s"tauHat=$th")
       }
       // baselines threshold a GED *upper bound*, so they never produce false
       // positives — their precision is 1 whenever they return anything
       rows.filter(r => Set("LSAP", "Greedy-Sort-GED").contains(r.method))
-        .foreach(r => assert(r.fp == 0, r.toString))
+        .foreach(r => assert(r.counts.fp == 0, r.toString))
       // GBDA's probabilistic filter recovers more true positives than the
       // upper-bound baselines at the same tauHat for at least one setting
-      val gbdaBestRecall = rows.filter(_.method == "GBDA").map(_.recall).max
+      val gbdaBestRecall = rows.filter(_.method == "GBDA").map(_.counts.recall).max
       assert(gbdaBestRecall > 0, "GBDA found nothing on any setting")
     }
 }

@@ -89,46 +89,46 @@ object BranchModel {
   def omega4(x: Int, r: Int, m: Int, p: ModelParams): Double =
     hyper((x + m - r).toDouble, p.v.toDouble, m.toDouble, x.toDouble)
 
-  /** Λ₁(τ,φ) = Pr[GBD=φ | GED=τ], Eq. (7) of Theorem 3.
-    *
-    * Summation ranges follow Section 6.2: x ∈ [0,τ], m ∈ [0, min(2(τ−x), v)],
-    * r ∈ [max(x,m), min(x+m, v)]. Zero when φ > 3τ (r ≤ 3τ and Ω₃ = 0 for
-    * φ > r), which the online stage exploits to short-circuit.
+  /** Λ₁(τ,φ) = Pr[GBD=φ | GED=τ], Eq. (7) of Theorem 3: one entry of
+    * [[lambda1Row]].
     */
   def lambda1(tau: Int, phi: Int, p: ModelParams): Double = {
     require(tau >= 0 && phi >= 0, s"tau=$tau phi=$phi must be non-negative")
-    if (tau == 0) return if (phi == 0) 1.0 else 0.0
-    if (phi > 3L * tau) return 0.0
-    var acc = 0.0
-    val xMax = math.min(tau.toLong, p.v).toInt
-    var x = 0
-    while (x <= xMax) {
-      val o1 = omega1(x, tau, p)
-      if (o1 > 0) {
-        val xp = tau - x
-        val mMax = math.min(2L * xp, p.v).toInt
-        var accX = 0.0
-        var m = 0
-        while (m <= mMax) {
-          val o2 = omega2(m, x, tau, p)
-          if (o2 > 0) {
-            val rMax = math.min((x + m).toLong, p.v).toInt
-            var accM = 0.0
-            var r = math.max(x, m)
-            while (r <= rMax) {
-              accM += omega3(r, phi, p) * omega4(x, r, m, p)
-              r += 1
-            }
-            accX += o2 * accM
-          }
-          m += 1
-        }
-        acc += o1 * accX
-      }
-      x += 1
-    }
-    acc
+    if (phi > 2L * tau) 0.0 else lambda1Row(tau, phi, p)(phi)
   }
+
+  /** Λ₁(τ,φ) for every φ ∈ [0, φMax] at one τ, Eq. (7).
+    *
+    * Summation ranges follow Section 6.2: x ∈ [0,τ], m ∈ [0, min(2(τ−x), v)],
+    * r ∈ [max(x,m), min(x+m, v)]. Ω₁, Ω₂ and Ω₄ do not depend on φ, so each
+    * is evaluated once per (x, m, r) for the whole row, and Ω₃ once per
+    * (r, φ) — the reuse of the paper's Eq. (28). Zero for φ > 2τ, since
+    * r ≤ x + m ≤ 2τ and Ω₃ = 0 for φ > r; the online stage's 3τ̂ cut-off is
+    * therefore exact.
+    */
+  def lambda1Row(tau: Int, phiMax: Int, p: ModelParams): Array[Double] = {
+    val row = new Array[Double](phiMax + 1)
+    if (tau == 0) { row(0) = 1.0; return row }
+    val top = math.min(phiMax, 2 * tau)
+    val o3 = Array.tabulate(math.min(2L * tau, p.v).toInt + 1, top + 1)(omega3(_, _, p))
+    for (x <- 0 to math.min(tau.toLong, p.v).toInt; o1 = omega1(x, tau, p) if o1 > 0) {
+      val accX = new Array[Double](top + 1)
+      for (m <- 0 to math.min(2L * (tau - x), p.v).toInt; o2 = omega2(m, x, tau, p) if o2 > 0) {
+        val accM = new Array[Double](top + 1)
+        for (r <- math.max(x, m) to math.min((x + m).toLong, p.v).toInt) {
+          val o4 = omega4(x, r, m, p)
+          for (phi <- 0 to math.min(top, r)) accM(phi) += o3(r)(phi) * o4
+        }
+        for (phi <- 0 to top) accX(phi) += o2 * accM(phi)
+      }
+      for (phi <- 0 to top) row(phi) += o1 * accX(phi)
+    }
+    row
+  }
+
+  /** Λ₁(τ,φ) for τ ∈ [0, τ̂] (rows) and φ ∈ [0, φMax] (columns). */
+  def lambda1Matrix(tauHat: Int, phiMax: Int, p: ModelParams): Array[Array[Double]] =
+    Array.tabulate(tauHat + 1)(lambda1Row(_, phiMax, p))
 
   /** Γ-continuation of Ω₁ to real τ (used to cross-check the derivative).
     * Intentionally unclamped: at support boundaries (e.g. τ−x=0) the smooth
@@ -180,10 +180,10 @@ object BranchModel {
   }
 
   /** d/dτ log Λ₁(τ,φ), Eq. (17): both Ω₁ and Ω₂ differentiated analytically.
-    * Returns 0 where Λ₁ vanishes (those φ contribute nothing to Eq. 16).
+    * `l1` is Λ₁(τ,φ) itself. Returns 0 where Λ₁ vanishes (those φ contribute
+    * nothing to Eq. 16).
     */
-  def dLogLambda1(tau: Int, phi: Int, p: ModelParams): Double = {
-    val l1 = lambda1(tau, phi, p)
+  def dLogLambda1(tau: Int, phi: Int, l1: Double, p: ModelParams): Double = {
     if (l1 <= 0) return 0.0
     var num = 0.0
     val xMax = math.min(tau.toLong, p.v).toInt

@@ -1,52 +1,64 @@
 package repro.core
 
-/** The fitted offline state of Algorithm 1 (Step 1*): the Jeffreys GED prior
-  * table `F(τ, v)` and the GMM GBD prior, plus the alphabet sizes that enter
-  * `D` (Eq. 13).
+/** The fitted offline state of Algorithm 1 (Step 1*) as plain data: the GMM
+  * GBD prior, the alphabet sizes that enter `D` (Eq. 13), and per extended
+  * size `v = |V₁'|` two rows computed together by [[tabulate]] — the
+  * Jeffreys GED prior `F(τ, v)` and the posterior `Φ(φ, v)` of Eq. (3).
   *
-  * @param gedPrior    `v = |V₁'| → Pr[GED=τ], τ ∈ [0, τ̂]`
-  * @param minGbdPrior floor on `Pr[GBD=φ]`: the fitted GMM density can
-  *                    vanish far from the sampled mass, which would make
-  *                    Λ₂ unbounded (see DESIGN.md §4).
+  * @param gedPrior `v → Pr[GED=τ], τ ∈ [0, τ̂]`
+  * @param phiTable `v → Φ(φ, v), φ ∈ [0, 3τ̂]`; same keys as `gedPrior`
   */
 final case class GbdaModel(
     tauHat: Int,
     nVertexLabels: Int,
     nEdgeLabels: Int,
-    gedPrior: Map[Long, Array[Double]],
     gmm: Gmm,
-    minGbdPrior: Double = 1e-9) extends Serializable {
+    gedPrior: Map[Long, Array[Double]] = Map.empty,
+    phiTable: Map[Long, Array[Double]] = Map.empty) extends Serializable {
   require(tauHat >= 0)
 
-  /** Per-model memo of Φ(gbd, v): Λ₁ depends only on (τ, φ, v) for fixed
-    * alphabets, so a database scan repeats few distinct (gbd, v) pairs —
-    * the same redundancy-elimination idea as the paper's Eq. (28).
-    * Transient: each executor rebuilds its own cache after broadcast.
+  def prGbd(phi: Int): Double = math.max(GbdaModel.MinGbdPrior, gmm.intervalProb(phi.toDouble))
+
+  /** The rows of size `v`: `F(τ, v)` for τ ∈ [0, τ̂] and `Φ(φ, v)` for
+    * φ ∈ [0, 3τ̂], both from one Λ₁ matrix. `Φ = Σ_{τ≤τ̂} Λ₁·F / Pr[GBD=φ]`
+    * (Eq. 3) is clamped to [0, 1]. This is the only place Φ is computed.
     */
-  @transient lazy val phiMemo: java.util.concurrent.ConcurrentHashMap[java.lang.Long, java.lang.Double] =
-    new java.util.concurrent.ConcurrentHashMap[java.lang.Long, java.lang.Double]()
+  def tabulate(v: Long): (Array[Double], Array[Double]) = {
+    val p = ModelParams(v, nVertexLabels, nEdgeLabels)
+    val l1 = BranchModel.lambda1Matrix(tauHat, 3 * tauHat, p)
+    val prior = JeffreysPrior.fromLambda1(l1, p)
+    val phi = Array.tabulate(3 * tauHat + 1) { gbd =>
+      val prG = prGbd(gbd)
+      math.min(1.0, math.max(0.0, (0 to tauHat).map(tau => l1(tau)(gbd) * (prior(tau) / prG)).sum))
+    }
+    (prior, phi)
+  }
 
-  def prGbd(phi: Int): Double = math.max(minGbdPrior, gmm.intervalProb(phi.toDouble))
+  /** Copy with the rows of [[tabulate]] added, one `(v, (F, Φ))` per size. */
+  def withRows(rows: Iterable[(Long, (Array[Double], Array[Double]))]): GbdaModel =
+    copy(gedPrior = gedPrior ++ rows.map { case (v, (f, _)) => v -> f },
+      phiTable = phiTable ++ rows.map { case (v, (_, phi)) => v -> phi })
 
-  /** Prior for a given extended size; computes on the fly if untabulated. */
-  def gedPriorForV(v: Long): Array[Double] =
-    gedPrior.getOrElse(v, JeffreysPrior.forV(v, tauHat, nVertexLabels, nEdgeLabels))
+  /** Copy with rows for every v in `vs`. */
+  def ensureVs(vs: Seq[Long]): GbdaModel = {
+    val missing = vs.distinct.filterNot(phiTable.contains)
+    if (missing.isEmpty) this else withRows(missing.map(v => v -> tabulate(v)))
+  }
 
   /** Re-target the model to a different similarity threshold: the GMM GBD
-    * prior is τ̂-independent, but the Jeffreys table `F(τ,v)` is normalized
-    * over τ ∈ [0, τ̂] with φ ∈ [0, 2τ̂], so it must be re-tabulated.
+    * prior is τ̂-independent, but `F(τ, v)` is normalized over τ ∈ [0, τ̂], so
+    * every row is re-tabulated, for `vs` and the sizes already held.
     */
   def withTauHat(newTauHat: Int, vs: Seq[Long]): GbdaModel =
-    copy(tauHat = newTauHat,
-      gedPrior = JeffreysPrior.table(vs ++ gedPrior.keys, newTauHat, nVertexLabels, nEdgeLabels))
+    copy(tauHat = newTauHat, gedPrior = Map.empty, phiTable = Map.empty).ensureVs(vs ++ gedPrior.keys)
+}
 
-  /** Copy with the prior table guaranteed to cover every v in `vs`. */
-  def ensureVs(vs: Seq[Long]): GbdaModel = {
-    val missing = vs.distinct.filterNot(gedPrior.contains)
-    if (missing.isEmpty) this
-    else copy(gedPrior = gedPrior ++ missing.map(v =>
-      v -> JeffreysPrior.forV(v, tauHat, nVertexLabels, nEdgeLabels)))
-  }
+object GbdaModel {
+
+  /** Floor on `Pr[GBD=φ]`: the fitted GMM density can vanish far from the
+    * sampled mass, which would make Λ₂ unbounded (see DESIGN.md §4).
+    */
+  val MinGbdPrior = 1e-9
 }
 
 /** Steps 3–4 of Algorithm 1 (the per-graph online decision), shared between
@@ -55,29 +67,16 @@ final case class GbdaModel(
   */
 object Gbda {
 
-  /** Φ = Pr[GED(Q,G) ≤ τ̂ | GBD(Q,G) = φ] = Σ_{τ=0}^{τ̂} Λ₁·Λ₂ (Eq. 3),
-    * clamped to [0,1]. Zero immediately for φ > 3τ̂ (Λ₁ vanishes there).
+  /** Φ = Pr[GED(Q,G) ≤ τ̂ | GBD(Q,G) = φ] (Eq. 3), looked up in the
+    * model's table; 0 for φ > 3τ̂ (Λ₁ vanishes there). A size missing from
+    * the table is tabulated for this call only.
     *
     * @param v extended size |V₁'| = max(|V_Q|, |V_G|) of the pair
     */
   def phi(gbd: Int, v: Long, model: GbdaModel): Double = {
     require(gbd >= 0, s"GBD must be non-negative, got $gbd")
-    if (gbd > 3L * model.tauHat) return 0.0
-    val key = java.lang.Long.valueOf((gbd.toLong << 44) | v)
-    val cached = model.phiMemo.get(key)
-    if (cached != null) return cached.doubleValue
-    val p = ModelParams(v, model.nVertexLabels, model.nEdgeLabels)
-    val prior = model.gedPriorForV(v)
-    val prG = model.prGbd(gbd)
-    var acc = 0.0
-    var tau = 0
-    while (tau <= model.tauHat) {
-      acc += BranchModel.lambda1(tau, gbd, p) * (prior(tau) / prG)
-      tau += 1
-    }
-    val res = math.min(1.0, math.max(0.0, acc))
-    model.phiMemo.put(key, java.lang.Double.valueOf(res))
-    res
+    if (gbd > 3L * model.tauHat) 0.0
+    else model.phiTable.getOrElse(v, model.tabulate(v)._2)(gbd)
   }
 
   /** Steps 3–4 for one database graph G against the query Q: returns
@@ -100,11 +99,13 @@ object Gbda {
       queryN: Int,
       queryBranches: Array[String],
       model: GbdaModel,
-      gamma: Double): Seq[(Long, Int, Double)] =
+      gamma: Double): Seq[(Long, Int, Double)] = {
+    val m = model.ensureVs(Seq(queryN.toLong))
     db.flatMap { case (id, nv, branches) =>
-      val (gbd, p) = score(nv, branches, queryN, queryBranches, model)
+      val (gbd, p) = score(nv, branches, queryN, queryBranches, m)
       if (p >= gamma) Some((id, gbd, p)) else None
     }
+  }
 }
 
 /** Branch-multiset primitives shared by the in-memory and Spark paths.

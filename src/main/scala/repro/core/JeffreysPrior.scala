@@ -9,36 +9,33 @@ package repro.core
   */
 object JeffreysPrior {
 
-  /** Unnormalized sqrt-Fisher-information values for τ ∈ [0, τ̂]. */
-  private[core] def raw(v: Long, tauHat: Int, nVertexLabels: Int, nEdgeLabels: Int): Array[Double] = {
-    val p = ModelParams(v, nVertexLabels, nEdgeLabels)
-    Array.tabulate(tauHat + 1) { tau =>
-      var s = 0.0
-      var phi = 0
-      val phiMax = 2 * tauHat
-      while (phi <= phiMax) {
-        val l1 = BranchModel.lambda1(tau, phi, p)
-        if (l1 > 0) {
-          val d = BranchModel.dLogLambda1(tau, phi, p)
-          s += l1 * d * d
-        }
-        phi += 1
-      }
-      math.sqrt(s)
-    }
-  }
-
-  /** `F(τ, v)` for all τ ∈ [0, τ̂], normalized so the entries sum to 1.
-    * Falls back to the uniform distribution if the information degenerates.
+  /** Unnormalized sqrt-Fisher-information values for τ ∈ [0, τ̂], from the
+    * Λ₁ matrix `l1(τ)(φ)` of [[BranchModel.lambda1Matrix]] (τ̂ + 1 rows, at
+    * least 2τ̂ + 1 columns).
     */
-  def forV(v: Long, tauHat: Int, nVertexLabels: Int, nEdgeLabels: Int): Array[Double] = {
-    val r = raw(v, tauHat, nVertexLabels, nEdgeLabels)
+  private[core] def raw(l1: Array[Array[Double]], p: ModelParams): Array[Double] =
+    Array.tabulate(l1.length) { tau =>
+      val row = l1(tau)
+      math.sqrt((0 to 2 * (l1.length - 1)).filter(row(_) > 0).map { phi =>
+        val d = BranchModel.dLogLambda1(tau, phi, row(phi), p)
+        row(phi) * d * d
+      }.sum)
+    }
+
+  /** `F(τ, v)` for all τ ∈ [0, τ̂] from a Λ₁ matrix at `p.v` (see [[raw]]),
+    * normalized so the entries sum to 1. Falls back to the uniform
+    * distribution if the information degenerates.
+    */
+  def fromLambda1(l1: Array[Array[Double]], p: ModelParams): Array[Double] = {
+    val r = raw(l1, p)
     val z = r.sum
-    if (z <= 0 || z.isNaN || z.isInfinite) Array.fill(tauHat + 1)(1.0 / (tauHat + 1))
+    if (z <= 0 || z.isNaN || z.isInfinite) Array.fill(r.length)(1.0 / r.length)
     else r.map(_ / z)
   }
 
-  /** Tabulate `F(τ, v)` for a set of extended sizes (the Step-1* matrix). */
-  def table(vs: Seq[Long], tauHat: Int, nVertexLabels: Int, nEdgeLabels: Int): Map[Long, Array[Double]] =
-    vs.distinct.map(v => v -> forV(v, tauHat, nVertexLabels, nEdgeLabels)).toMap
+  /** `F(τ, v)` for all τ ∈ [0, τ̂]. */
+  def forV(v: Long, tauHat: Int, nVertexLabels: Int, nEdgeLabels: Int): Array[Double] = {
+    val p = ModelParams(v, nVertexLabels, nEdgeLabels)
+    fromLambda1(BranchModel.lambda1Matrix(tauHat, 2 * tauHat, p), p)
+  }
 }

@@ -16,14 +16,7 @@ import repro.spark.{GbdaSearch, GraphFrames}
 object Effectiveness {
 
   final case class Row(dataset: String, method: String, tauHat: Int, gamma: Option[Double],
-                       tp: Int, fp: Int, fn: Int) {
-    def precision: Double = if (tp + fp == 0) 1.0 else tp.toDouble / (tp + fp)
-    def recall: Double = if (tp + fn == 0) 1.0 else tp.toDouble / (tp + fn)
-    def f1: Double = {
-      val p = precision; val r = recall
-      if (p + r == 0) 0.0 else 2 * p * r / (p + r)
-    }
-  }
+                       counts: Confusion)
 
   /** All rows for one dataset. Baseline estimates and exact GEDs are
     * computed once per pair and reused across the τ̂ sweep.
@@ -48,25 +41,15 @@ object Effectiveness {
       extraVs = set.queries.map(_.n.toLong).distinct)
     graphsDf.unpersist()
     val vs = (set.db.map(_.n.toLong) ++ set.queries.map(_.n.toLong)).distinct
-    val allVs = vs.flatMap(v => vs.map(w => math.max(v, w))).distinct
 
     tauHats.flatMap { th =>
-      def metrics(method: String, gamma: Option[Double])(pred: (LabeledGraph, LabeledGraph) => Boolean): Row = {
-        var tp = 0; var fp = 0; var fn = 0
-        pairs.foreach { case (q, g) =>
-          val actual = gt((q.id, g.id)) <= th
-          val p = pred(q, g)
-          if (p && actual) tp += 1
-          else if (p && !actual) fp += 1
-          else if (!p && actual) fn += 1
-        }
-        Row(set.cfg.name, method, th, gamma, tp, fp, fn)
-      }
+      def metrics(method: String, gamma: Option[Double])(pred: (LabeledGraph, LabeledGraph) => Boolean): Row =
+        Row(set.cfg.name, method, th, gamma,
+          Confusion.count(pairs)({ case (q, g) => gt((q.id, g.id)) <= th }, pred.tupled))
 
-      val model = base.withTauHat(th, allVs)
+      val model = base.withTauHat(th, vs)
       val phiCache = pairs.map { case (q, g) =>
-        val gbd = repro.core.GbdaOps.gbdFromSortedBranches(q.branches, g.branches)
-        (q.id, g.id) -> Gbda.phi(gbd, math.max(q.n, g.n).toLong, model)
+        (q.id, g.id) -> Gbda.score(g.n, g.branches, q.n, q.branches, model)._2
       }.toMap
 
       gammas.map(gm => metrics("GBDA", Some(gm))((q, g) => phiCache((q.id, g.id)) >= gm)) ++ Seq(
@@ -82,6 +65,6 @@ object Effectiveness {
       Seq("Data Set", "Method", "tauHat", "gamma", "precision", "recall", "F1", "TP", "FP", "FN"),
       rs.map(r => Seq(r.dataset, r.method, r.tauHat.toString,
         r.gamma.map(TableText.fmt(_, 1)).getOrElse("-"),
-        TableText.fmt(r.precision), TableText.fmt(r.recall), TableText.fmt(r.f1),
-        r.tp.toString, r.fp.toString, r.fn.toString)))
+        TableText.fmt(r.counts.precision), TableText.fmt(r.counts.recall), TableText.fmt(r.counts.f1),
+        r.counts.tp.toString, r.counts.fp.toString, r.counts.fn.toString)))
 }

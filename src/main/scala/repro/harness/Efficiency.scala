@@ -3,7 +3,7 @@ package repro.harness
 import org.apache.spark.sql.SparkSession
 
 import repro.baselines.{BipartiteGed, GraphTooLargeException, GreedyGed, Seriation}
-import repro.core.{Gbda, GbdaModel, GbdaOps, Gmm, JeffreysPrior}
+import repro.core.{Gbda, GbdaModel, GbdaOps, Gmm}
 import repro.graphs.{GraphGen, LabeledGraph}
 import repro.spark.{GbdaSearch, GraphFrames}
 
@@ -38,7 +38,7 @@ object Efficiency {
       val dbTriples = db.map(g => (g.id, g.n, g.branches))
 
       val gbdaRows = tauHats.map { th =>
-        val model = base.withTauHat(th, vs.flatMap(v => vs.map(w => math.max(v, w))))
+        val model = base.withTauHat(th, vs)
         val (_, ms) = TableText.timeMs {
           set.queries.foreach(q => Gbda.search(dbTriples, q.n, q.branches, model, gamma = 0.5))
         }
@@ -87,10 +87,9 @@ object Efficiency {
       val samplePairs = Seq((gs(0), gs(5)), (gs(2), gs(7)), (gs(1), gs(9)))
       gs.foreach(_.branches)
 
-      // Minimal GBDA model: GMM over the family GBDs + Jeffreys prior at v=n.
+      // Minimal GBDA model: GMM over the family GBDs + the F and Φ rows at v=n.
       val gbds = samplePairs.map { case (a, b) => LabeledGraph.gbd(a, b).toDouble }
-      val model = GbdaModel(tauHat, 10, 16, JeffreysPrior.table(Seq(n.toLong), tauHat, 10, 16),
-        Gmm.fit(gbds.toArray, k = 1))
+      val model = GbdaModel(tauHat, 10, 16, Gmm.fit(gbds.toArray, k = 1)).ensureVs(Seq(n.toLong))
 
       val reps = if (n <= 500) 3 else 1
       def time(method: String, maxN: Int)(f: (LabeledGraph, LabeledGraph) => Unit): SynRow =

@@ -13,15 +13,7 @@ import repro.spark.{GbdaSearch, GraphFrames}
   */
 object SynAccuracy {
 
-  final case class Row(dataset: String, n: Int, tauHat: Int, gamma: Double,
-                       tp: Int, fp: Int, fn: Int) {
-    def precision: Double = if (tp + fp == 0) 1.0 else tp.toDouble / (tp + fp)
-    def recall: Double = if (tp + fn == 0) 1.0 else tp.toDouble / (tp + fn)
-    def f1: Double = {
-      val p = precision; val r = recall
-      if (p + r == 0) 0.0 else 2 * p * r / (p + r)
-    }
-  }
+  final case class Row(dataset: String, n: Int, tauHat: Int, gamma: Double, counts: Confusion)
 
   def rows(spark: SparkSession, scaleFree: Boolean = true,
            sizes: Seq[Int] = Datasets.synSizes,
@@ -50,15 +42,9 @@ object SynAccuracy {
           (q.id, g.id) -> Gbda.phi(gbdCache((q.id, g.id)), n.toLong, model)
         }.toMap
         gammas.map { gm =>
-          var tp = 0; var fp = 0; var fn = 0
-          pairs.foreach { case (q, g) =>
-            val actual = ds.isSimilar(q.id, g.id, th)
-            val pred = phiCache((q.id, g.id)) >= gm
-            if (pred && actual) tp += 1
-            else if (pred && !actual) fp += 1
-            else if (!pred && actual) fn += 1
-          }
-          Row(dsName, n, th, gm, tp, fp, fn)
+          Row(dsName, n, th, gm, Confusion.count(pairs)(
+            { case (q, g) => ds.isSimilar(q.id, g.id, th) },
+            { case (q, g) => phiCache((q.id, g.id)) >= gm }))
         }
       }
     }
@@ -82,6 +68,6 @@ object SynAccuracy {
       s"GBDA accuracy vs graph size (Figs. 26–29), ${rs.headOption.map(_.dataset).getOrElse("")}",
       Seq("n", "tauHat", "gamma", "precision", "recall", "F1", "TP", "FP", "FN"),
       rs.map(r => Seq(r.n.toString, r.tauHat.toString, TableText.fmt(r.gamma, 1),
-        TableText.fmt(r.precision), TableText.fmt(r.recall), TableText.fmt(r.f1),
-        r.tp.toString, r.fp.toString, r.fn.toString)))
+        TableText.fmt(r.counts.precision), TableText.fmt(r.counts.recall), TableText.fmt(r.counts.f1),
+        r.counts.tp.toString, r.counts.fp.toString, r.counts.fn.toString)))
 }

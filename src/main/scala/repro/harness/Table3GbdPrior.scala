@@ -16,13 +16,13 @@ object Table3GbdPrior {
 
   /** Run the full GBD-prior pipeline on one dataset. */
   def run(spark: SparkSession, name: String, db: Seq[repro.graphs.LabeledGraph],
-          nPairs: Int, gmmK: Int = 3, seed: Long = 7): Row = {
+          nPairs: Int, seed: Long = 7): Row = {
     val graphsDf = GraphFrames.toBranchDf(spark, db).cache()
     graphsDf.count() // materialize outside the timed region (stored structures)
     val ids = db.map(_.id).toArray
     val (result, ms) = TableText.timeMs {
       // Steps 1.1–1.3: fitModel's own pair sampling, pairwise GBD and GMM fit
-      val gmm = GbdaSearch.fitGbdPrior(graphsDf, ids, nPairs, gmmK, seed)
+      val gmm = GbdaSearch.fitGbdPrior(graphsDf, ids, nPairs, seed)
       // Step 1.4: tabulate Pr[GBD=φ], φ ∈ [0, n]
       val nMax = db.map(_.n).max
       val table = Array.tabulate(nMax + 1)(phi => gmm.intervalProb(phi.toDouble))

@@ -12,17 +12,19 @@ import scala.util.Random
   *
   * Offline stage ([[fitModel]]): sample graph pairs, compute their GBDs
   * distributed ([[GbdSpark.pairwiseGbd]]), fit the GMM prior (Eq. 14–15);
-  * tabulate the Jeffreys GED prior `F(τ,v)` (Eq. 16) for every distinct
-  * extended size as Spark tasks — mirroring the paper's fully parallel
-  * offline processes (Section 7.2).
+  * then, for every distinct extended size v, tabulate the Jeffreys GED prior
+  * `F(τ,v)` (Eq. 16) and the posterior `Φ(φ,v)` (Eq. 3) as Spark tasks —
+  * mirroring the paper's fully parallel offline processes (Section 7.2).
   *
   * Online stage ([[search]]): the fitted model and the query's branch
   * multiset are broadcast; a UDF computes `(φ, Φ)` per row with
-  * [[Gbda.score]] — `φ = GBD(Q,G)` (two-pointer, O(nd)) and
-  * `Φ = Σ_{τ≤τ̂} Λ₁·Λ₂` (O(τ̂³)) — then filters `Φ ≥ γ`. One query is one
-  * Spark job.
+  * [[Gbda.score]] — `φ = GBD(Q,G)` (two-pointer, O(nd)) and Φ by table
+  * lookup — then filters `Φ ≥ γ`. One query is one Spark job.
   */
 object GbdaSearch {
+
+  /** Components of the GMM GBD prior (the paper's K = 3). */
+  val GmmComponents = 3
 
   /** Offline Step 1*: fit both priors from the database DataFrame.
     *
@@ -35,34 +37,33 @@ object GbdaSearch {
       graphs: DataFrame,
       tauHat: Int,
       nPairs: Int,
-      gmmK: Int = 3,
       seed: Long = 7,
       extraVs: Seq[Long] = Nil): GbdaModel = {
     val spark = graphs.sparkSession
     val ids = graphs.select("gid", "nv").collect().map(r => (r.getLong(0), r.getInt(1)))
 
-    val gmm = fitGbdPrior(graphs, ids.map(_._1), nPairs, gmmK, seed)
+    val gmm = fitGbdPrior(graphs, ids.map(_._1), nPairs, seed)
 
     // Alphabet sizes |L_V|, |L_E| enter D (Eq. 13).
     val nVL = math.max(1L, graphs.select(explode(col("vlabels"))).distinct().count()).toInt
     val nEL = math.max(1L,
       graphs.select(explode(col("edges")).as("e")).select(col("e.label")).distinct().count()).toInt
 
-    // GED prior per distinct extended size, one Spark task per v.
+    // F and Φ rows per distinct extended size, one Spark task per v.
+    val unfitted = GbdaModel(tauHat, nVL, nEL, gmm)
     val vs = (ids.map(_._2.toLong) ++ extraVs).distinct.toSeq
-    val priorRows = spark.sparkContext
+    unfitted.withRows(spark.sparkContext
       .parallelize(vs, math.min(vs.size, spark.sparkContext.defaultParallelism))
-      .map(v => (v, JeffreysPrior.forV(v, tauHat, nVL, nEL)))
-      .collect()
-
-    GbdaModel(tauHat, nVL, nEL, priorRows.toMap, gmm)
+      .map(v => (v, unfitted.tabulate(v)))
+      .collect())
   }
 
   /** Offline Steps 1.1–1.3, the GBD prior: sample `nPairs` pairs of distinct
     * graphs from `ids`, compute their GBDs distributed
-    * ([[GbdSpark.pairwiseGbd]]), and fit a `gmmK`-component GMM to them.
+    * ([[GbdSpark.pairwiseGbd]]), and fit a [[GmmComponents]]-component GMM
+    * to them.
     */
-  def fitGbdPrior(graphs: DataFrame, ids: Array[Long], nPairs: Int, gmmK: Int, seed: Long): Gmm = {
+  def fitGbdPrior(graphs: DataFrame, ids: Array[Long], nPairs: Int, seed: Long): Gmm = {
     require(ids.length >= 2, "need at least two graphs to fit priors")
     val rng = new Random(seed)
     val pairs = Seq.fill(nPairs) {
@@ -75,7 +76,7 @@ object GbdaSearch {
     import spark.implicits._
     val gbds = GbdSpark.pairwiseGbd(graphs, pairs.toDF("gid1", "gid2"))
       .select("gbd").collect().map(_.getInt(0).toDouble)
-    Gmm.fit(gbds, gmmK)
+    Gmm.fit(gbds, GmmComponents)
   }
 
   /** Online stage for one query: returns `(gid, gbd, phi)` rows with
@@ -84,7 +85,7 @@ object GbdaSearch {
     */
   def search(graphs: DataFrame, model: GbdaModel, query: LabeledGraph, gamma: Double): DataFrame = {
     // fitModel tabulates every |V_G|, so v = max(|V_Q|, |V_G|) can only be
-    // missing when it is |V_Q|; any other gap is computed on the fly.
+    // missing when it is |V_Q|; any other gap is tabulated per lookup.
     val bcModel = graphs.sparkSession.sparkContext.broadcast(model.ensureVs(Seq(query.n.toLong)))
     val qb = query.branches
     val qn = query.n

@@ -46,6 +46,22 @@ class BranchModelSpec extends AnyFunSuite {
     assert(math.abs(lambda1(2, 3, pEx6) - expected) < 1e-12)
   }
 
+  test("lambda1Row equals the direct triple sum of Eq. (7)") {
+    for (v <- Seq(4L, 9L, 40L); tau <- 1 to 5) {
+      val p = ModelParams(v, 3, 2)
+      val row = lambda1Row(tau, 3 * tau + 1, p)
+      assert(row.length == 3 * tau + 2)
+      for (phi <- row.indices) {
+        var direct = 0.0
+        for (x <- 0 to math.min(tau.toLong, v).toInt; m <- 0 to math.min(2L * (tau - x), v).toInt;
+             r <- math.max(x, m) to math.min((x + m).toLong, v).toInt)
+          direct += omega1(x, tau, p) * omega2(m, x, tau, p) * omega3(r, phi, p) * omega4(x, r, m, p)
+        assert(math.abs(row(phi) - direct) < 1e-13, s"v=$v tau=$tau phi=$phi")
+        assert(lambda1(tau, phi, p) == row(phi), s"v=$v tau=$tau phi=$phi")
+      }
+    }
+  }
+
   test("Lambda1 vanishes for phi > 3*tau") {
     for (tau <- 1 to 4; phi <- 3 * tau + 1 to 3 * tau + 5)
       assert(lambda1(tau, phi, pEx6) == 0.0, s"tau=$tau phi=$phi")
@@ -249,7 +265,7 @@ class BranchModelSpec extends AnyFunSuite {
     val h = 1e-5
     for (tau <- 1 to 4; phi <- 0 to 3 * tau if lambda1(tau, phi, p) > 1e-12) {
       val fd = (math.log(lambda1Cont(tau + h, tau, phi)) - math.log(lambda1Cont(tau - h, tau, phi))) / (2 * h)
-      val an = dLogLambda1(tau, phi, p)
+      val an = dLogLambda1(tau, phi, lambda1(tau, phi, p), p)
       assert(math.abs(fd - an) < 1e-3 * math.max(1.0, math.abs(an)),
         s"tau=$tau phi=$phi fd=$fd analytic=$an")
     }

@@ -6,30 +6,40 @@ class GbdaCoreSpec extends AnyFunSuite {
 
   private def model(tauHat: Int, vs: Seq[Long]): GbdaModel = {
     val gmm = Gmm.fit(Array(1.0, 2.0, 3.0, 3.0, 4.0, 5.0, 6.0, 8.0), k = 2)
-    GbdaModel(tauHat, 3, 3, JeffreysPrior.table(vs, tauHat, 3, 3), gmm)
+    GbdaModel(tauHat, 3, 3, gmm).ensureVs(vs)
   }
 
   test("phi equals the hand-assembled Bayes sum (wiring check)") {
-    val m = model(3, Seq(4L))
-    val p = ModelParams(4, 3, 3)
-    val prior = m.gedPriorForV(4L)
-    val prG = m.prGbd(3)
-    val expectedRaw = (0 to 3).map(t => BranchModel.lambda1(t, 3, p) * prior(t) / prG).sum
-    val expected = math.min(1.0, math.max(0.0, expectedRaw))
-    assert(math.abs(Gbda.phi(3, 4L, m) - expected) < 1e-12)
+    // v=4 is tabulated, v=9 is not; phi runs past the 3*tauHat cut-off.
+    for (tauHat <- Seq(0, 3); v <- Seq(4L, 9L)) {
+      val m = model(tauHat, Seq(4L))
+      assert(m.phiTable.contains(v) == (v == 4L))
+      val p = ModelParams(v, 3, 3)
+      val prior = JeffreysPrior.forV(v, tauHat, 3, 3)
+      for (phi <- 0 to 3 * tauHat + 2) {
+        val raw = (0 to tauHat).map(t => BranchModel.lambda1(t, phi, p) * prior(t) / m.prGbd(phi)).sum
+        val expected = math.min(1.0, math.max(0.0, raw))
+        assert(math.abs(Gbda.phi(phi, v, m) - expected) < 1e-12, s"tauHat=$tauHat v=$v phi=$phi")
+      }
+    }
   }
 
-  test("phi memoization is transparent (same value, cache populated)") {
-    val m = model(3, Seq(6L))
-    val first = Gbda.phi(2, 6L, m)
-    assert(m.phiMemo.size == 1)
-    assert(Gbda.phi(2, 6L, m) == first)
-    assert(m.phiMemo.size == 1)
-    // a re-targeted model gets a fresh cache (prior table changed)
-    val m2 = m.withTauHat(2, Seq(6L))
-    assert(m2.phiMemo.isEmpty)
-    val rescored = Gbda.phi(2, 6L, m2)
-    assert(rescored >= 0 && rescored <= 1)
+  test("phi at an untabulated size equals its value after ensureVs") {
+    val m = model(3, Seq(4L))
+    val onTheFly = (0 to 9).map(Gbda.phi(_, 9L, m))
+    val m2 = m.ensureVs(Seq(9L))
+    assert(m2.phiTable.keySet == Set(4L, 9L) && m2.gedPrior.keySet == Set(4L, 9L))
+    assert((0 to 9).map(Gbda.phi(_, 9L, m2)) == onTheFly)
+    assert(m2.phiTable(9L).toSeq == onTheFly)
+  }
+
+  test("ensureVs covers requested sizes and deduplicates") {
+    val m = model(4, Seq(5L))
+    val m2 = m.ensureVs(Seq(5L, 8L, 5L, 12L, 8L))
+    assert(m2.gedPrior.keySet == Set(5L, 8L, 12L) && m2.phiTable.keySet == Set(5L, 8L, 12L))
+    m2.gedPrior.values.foreach(p => assert(math.abs(p.sum - 1.0) < 1e-9))
+    assert(m2.gedPrior(5L) eq m.gedPrior(5L)) // a tabulated size is kept, not recomputed
+    assert(m.ensureVs(Seq(5L, 5L)) eq m)
   }
 
   test("phi is clamped to [0, 1]") {
@@ -51,24 +61,25 @@ class GbdaCoreSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](Gbda.phi(-1, 10L, m))
   }
 
-  test("gedPriorForV computes missing sizes on the fly; ensureVs tabulates them") {
-    val m = model(3, Seq(4L))
-    val onTheFly = m.gedPriorForV(9L)
-    assert(math.abs(onTheFly.sum - 1.0) < 1e-9)
-    val m2 = m.ensureVs(Seq(9L, 4L))
-    assert(m2.gedPrior.keySet == Set(4L, 9L))
-    assert(m2.gedPrior(9L).toSeq == onTheFly.toSeq)
-  }
-
   test("withTauHat retabulates the GED prior at the new threshold") {
     val m = model(5, Seq(4L, 7L)).withTauHat(2, Seq(4L, 7L))
     assert(m.tauHat == 2)
     m.gedPrior.values.foreach { p => assert(p.length == 3 && math.abs(p.sum - 1.0) < 1e-9) }
   }
 
+  test("withTauHat retabulates Phi with rows of the new length") {
+    val m = model(5, Seq(4L)).withTauHat(2, Seq(7L))
+    val fresh = model(2, Seq(4L, 7L))
+    assert(m.phiTable.keySet == Set(4L, 7L))
+    for (v <- Seq(4L, 7L)) {
+      assert(m.phiTable(v).length == 7, s"v=$v")
+      assert(m.phiTable(v).toSeq == fresh.phiTable(v).toSeq, s"v=$v")
+    }
+  }
+
   test("prGbd respects the floor") {
     val m = model(3, Seq(4L))
-    assert(m.prGbd(1000000) >= m.minGbdPrior)
+    assert(m.prGbd(1000000) >= GbdaModel.MinGbdPrior)
   }
 
   test("search keeps exactly the graphs with phi >= gamma") {

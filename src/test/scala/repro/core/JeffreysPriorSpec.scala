@@ -23,12 +23,6 @@ class JeffreysPriorSpec extends AnyFunSuite {
     assert(p.count(_ > 1e-6) >= 2, p.toSeq.toString)
   }
 
-  test("table covers requested sizes and deduplicates") {
-    val t = JeffreysPrior.table(Seq(5L, 8L, 5L, 12L), 4, 3, 3)
-    assert(t.keySet == Set(5L, 8L, 12L))
-    t.values.foreach(p => assert(math.abs(p.sum - 1.0) < 1e-9))
-  }
-
   test("prior handles large v (100K vertices) without blowing up") {
     val p = JeffreysPrior.forV(100000L, 5, 10, 5)
     assert(math.abs(p.sum - 1.0) < 1e-9)
@@ -36,7 +30,8 @@ class JeffreysPriorSpec extends AnyFunSuite {
   }
 
   test("raw Fisher information is finite and non-negative") {
-    val r = JeffreysPrior.raw(12L, 4, 3, 3)
+    val p = ModelParams(12L, 3, 3)
+    val r = JeffreysPrior.raw(BranchModel.lambda1Matrix(4, 8, p), p)
     assert(r.forall(x => x >= 0 && !x.isNaN && !x.isInfinite), r.toSeq.toString)
   }
 

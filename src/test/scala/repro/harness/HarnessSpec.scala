@@ -25,6 +25,17 @@ class HarnessSpec extends SparkSpec {
     assert(v == 42 && ms >= 10)
   }
 
+  test("Confusion counts pairs and derives precision, recall and F1") {
+    // (actual, predicted) for each pair
+    val pairs = Seq((true, true), (true, true), (false, true), (true, false), (false, false))
+    val c = Confusion.count(pairs)(_._1, _._2)
+    assert(c == Confusion(tp = 2, fp = 1, fn = 1))
+    assert(math.abs(c.precision - 2.0 / 3) < 1e-12 && math.abs(c.recall - 2.0 / 3) < 1e-12)
+    assert(math.abs(c.f1 - 2.0 / 3) < 1e-12)
+    assert(Confusion(0, 0, 0).precision == 1.0 && Confusion(0, 0, 0).recall == 1.0)
+    assert(Confusion(0, 3, 2).f1 == 0.0)
+  }
+
   private lazy val tinySet: Datasets.RealSet = {
     val cfg = GraphGen.IamLikeConfig("tiny", 18, 3, 4, 6, 4, 3, 2.0, seed = 404)
     val (db, qs) = GraphGen.iamLike(cfg)
@@ -44,11 +55,11 @@ class HarnessSpec extends SparkSpec {
     assert(rows.nonEmpty)
     val gt = GroundTruth.exactGeds(tinySet)
     rows.foreach { r =>
-      assert(r.precision >= 0 && r.precision <= 1)
-      assert(r.recall >= 0 && r.recall <= 1)
+      assert(r.counts.precision >= 0 && r.counts.precision <= 1)
+      assert(r.counts.recall >= 0 && r.counts.recall <= 1)
       // tp + fn equals the number of actual positives — method-independent
       val actual = gt.values.count(_ <= r.tauHat)
-      assert(r.tp + r.fn == actual, s"$r actual=$actual")
+      assert(r.counts.tp + r.counts.fn == actual, s"$r actual=$actual")
     }
     // the four methods all appear
     assert(rows.map(_.method).toSet ==
@@ -83,10 +94,10 @@ class HarnessSpec extends SparkSpec {
       tauHats = Seq(3, 5), gammas = Seq(0.8), nPriorPairs = 150)
     assert(rows.size == 2) // |tauHats| x |gammas|
     rows.foreach { r =>
-      assert(r.precision >= 0 && r.precision <= 1)
-      assert(r.recall >= 0 && r.recall <= 1)
+      assert(r.counts.precision >= 0 && r.counts.precision <= 1)
+      assert(r.counts.recall >= 0 && r.counts.recall <= 1)
       // 10 queries x 55 graphs; positives per (q, tauHat) are family-bounded
-      assert(r.tp + r.fn <= 10 * 11)
+      assert(r.counts.tp + r.counts.fn <= 10 * 11)
     }
   }
 

@@ -35,6 +35,23 @@ class GbdaSearchSpec extends SparkSpec {
       assert(p.length == 4)
       assert(math.abs(p.sum - 1.0) < 1e-9)
     }
+    assert(model.phiTable.keySet == model.gedPrior.keySet)
+    model.phiTable.values.foreach { row =>
+      assert(row.length == 3 * model.tauHat + 1)
+      assert(row.forall(phi => phi >= 0.0 && phi <= 1.0), row.toSeq)
+    }
+  }
+
+  test("a fitted model survives Java serialization with an identical Phi table") {
+    val bytes = new java.io.ByteArrayOutputStream()
+    val out = new java.io.ObjectOutputStream(bytes)
+    out.writeObject(model)
+    out.close()
+    val copy = new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bytes.toByteArray))
+      .readObject().asInstanceOf[repro.core.GbdaModel]
+    assert(copy.phiTable.keySet == model.phiTable.keySet)
+    for ((v, row) <- model.phiTable; gbd <- row.indices)
+      assert(Gbda.phi(gbd, v, copy) == row(gbd), s"v=$v gbd=$gbd")
   }
 
   test("fitModel GMM is a sane distribution over observed GBD range") {
