@@ -94,41 +94,55 @@ object BranchModel {
     */
   def lambda1(tau: Int, phi: Int, p: ModelParams): Double = {
     require(tau >= 0 && phi >= 0, s"tau=$tau phi=$phi must be non-negative")
-    if (phi > 2L * tau) 0.0 else lambda1Row(tau, phi, p)(phi)
+    if (phi > 2L * tau) 0.0 else lambda1Row(tau, phi, p)._1(phi)
   }
 
-  /** Λ₁(τ,φ) for every φ ∈ [0, φMax] at one τ, Eq. (7).
+  /** Λ₁(τ,φ) and its τ-derivative ∂Λ₁/∂τ (Eq. 17) for every φ ∈ [0, φMax]
+    * at one τ, in one pass over the terms of Eq. (7).
     *
     * Summation ranges follow Section 6.2: x ∈ [0,τ], m ∈ [0, min(2(τ−x), v)],
     * r ∈ [max(x,m), min(x+m, v)]. Ω₁, Ω₂ and Ω₄ do not depend on φ, so each
     * is evaluated once per (x, m, r) for the whole row, and Ω₃ once per
-    * (r, φ) — the reuse of the paper's Eq. (28). Zero for φ > 2τ, since
-    * r ≤ x + m ≤ 2τ and Ω₃ = 0 for φ > r; the online stage's 3τ̂ cut-off is
-    * therefore exact.
+    * (r, φ) — the reuse of the paper's Eq. (28). With S(φ) = Σ_r Ω₃·Ω₄, the
+    * derivative is Σ_x [∂Ω₁·Σ_m Ω₂·S + Ω₁·Σ_m ∂Ω₂·S]; an m is skipped only
+    * where Ω₂ and ∂Ω₂ are both zero. There is no τ = 0 shortcut: Λ₁(0, 0) = 1,
+    * but ∂Λ₁(0, 0) carries the ψ terms of ∂Ω₁ and ∂Ω₂. Both rows are zero
+    * for φ > 2τ, since r ≤ x + m ≤ 2τ and Ω₃ = 0 for φ > r.
     */
-  def lambda1Row(tau: Int, phiMax: Int, p: ModelParams): Array[Double] = {
+  def lambda1Row(tau: Int, phiMax: Int, p: ModelParams): (Array[Double], Array[Double]) = {
     val row = new Array[Double](phiMax + 1)
-    if (tau == 0) { row(0) = 1.0; return row }
+    val dRow = new Array[Double](phiMax + 1)
     val top = math.min(phiMax, 2 * tau)
     val o3 = Array.tabulate(math.min(2L * tau, p.v).toInt + 1, top + 1)(omega3(_, _, p))
     for (x <- 0 to math.min(tau.toLong, p.v).toInt; o1 = omega1(x, tau, p) if o1 > 0) {
       val accX = new Array[Double](top + 1)
-      for (m <- 0 to math.min(2L * (tau - x), p.v).toInt; o2 = omega2(m, x, tau, p) if o2 > 0) {
+      val dAccX = new Array[Double](top + 1)
+      for (m <- 0 to math.min(2L * (tau - x), p.v).toInt; o2 = omega2(m, x, tau, p);
+           d2 = dOmega2(m, x, tau, p) if o2 > 0 || d2 != 0) {
         val accM = new Array[Double](top + 1)
         for (r <- math.max(x, m) to math.min((x + m).toLong, p.v).toInt) {
           val o4 = omega4(x, r, m, p)
           for (phi <- 0 to math.min(top, r)) accM(phi) += o3(r)(phi) * o4
         }
-        for (phi <- 0 to top) accX(phi) += o2 * accM(phi)
+        for (phi <- 0 to top) {
+          accX(phi) += o2 * accM(phi)
+          dAccX(phi) += d2 * accM(phi)
+        }
       }
-      for (phi <- 0 to top) row(phi) += o1 * accX(phi)
+      val d1 = dOmega1(x, tau, p)
+      for (phi <- 0 to top) {
+        row(phi) += o1 * accX(phi)
+        dRow(phi) += d1 * accX(phi) + o1 * dAccX(phi)
+      }
     }
-    row
+    (row, dRow)
   }
 
-  /** Λ₁(τ,φ) for τ ∈ [0, τ̂] (rows) and φ ∈ [0, φMax] (columns). */
-  def lambda1Matrix(tauHat: Int, phiMax: Int, p: ModelParams): Array[Array[Double]] =
-    Array.tabulate(tauHat + 1)(lambda1Row(_, phiMax, p))
+  /** Λ₁(τ,φ) and ∂Λ₁/∂τ for τ ∈ [0, τ̂] (rows) and φ ∈ [0, 2τ̂] (columns),
+    * the whole range where Λ₁ can be non-zero.
+    */
+  def lambda1Matrix(tauHat: Int, p: ModelParams): (Array[Array[Double]], Array[Array[Double]]) =
+    Array.tabulate(tauHat + 1)(lambda1Row(_, 2 * tauHat, p)).unzip
 
   /** Γ-continuation of Ω₁ to real τ (used to cross-check the derivative).
     * Intentionally unclamped: at support boundaries (e.g. τ−x=0) the smooth
@@ -177,42 +191,5 @@ object BranchModel {
     }
     if (!any) 0.0
     else inner * math.exp(logBinom(p.v.toDouble, m.toDouble) - logBinom(p.e, xp.toDouble))
-  }
-
-  /** d/dτ log Λ₁(τ,φ), Eq. (17): both Ω₁ and Ω₂ differentiated analytically.
-    * `l1` is Λ₁(τ,φ) itself. Returns 0 where Λ₁ vanishes (those φ contribute
-    * nothing to Eq. 16).
-    */
-  def dLogLambda1(tau: Int, phi: Int, l1: Double, p: ModelParams): Double = {
-    if (l1 <= 0) return 0.0
-    var num = 0.0
-    val xMax = math.min(tau.toLong, p.v).toInt
-    var x = 0
-    while (x <= xMax) {
-      val o1 = omega1(x, tau, p)
-      val d1 = dOmega1(x, tau, p)
-      val xp = tau - x
-      val mMax = math.min(2L * math.max(xp, 0), p.v).toInt
-      var sumO2 = 0.0
-      var sumD2 = 0.0
-      var m = 0
-      while (m <= mMax) {
-        val rMax = math.min((x + m).toLong, p.v).toInt
-        var inner3 = 0.0
-        var r = math.max(x, m)
-        while (r <= rMax) {
-          inner3 += omega3(r, phi, p) * omega4(x, r, m, p)
-          r += 1
-        }
-        if (inner3 != 0.0) {
-          sumO2 += omega2(m, x, tau, p) * inner3
-          sumD2 += dOmega2(m, x, tau, p) * inner3
-        }
-        m += 1
-      }
-      num += d1 * sumO2 + o1 * sumD2
-      x += 1
-    }
-    num / l1
   }
 }

@@ -9,9 +9,6 @@ package repro.core
   */
 object Combinatorics {
 
-  /** Euler–Mascheroni constant, used to convert digamma ↔ harmonic numbers. */
-  val EulerGamma: Double = 0.5772156649015329
-
   private val LanczosG = 7.0
   private val LanczosCoef: Array[Double] = Array(
     0.99999999999980993, 676.5203681218851, -1259.1392167224028,
@@ -40,9 +37,6 @@ object Combinatorics {
     acc + math.log(x) - 0.5 * inv -
       inv2 * (1.0 / 12 - inv2 * (1.0 / 120 - inv2 * (1.0 / 252 - inv2 / 240)))
   }
-
-  /** n-th Harmonic number H(n) = ψ(n+1) + γ, continued to real n ≥ 0. */
-  def harmonic(n: Double): Double = digamma(n + 1) + EulerGamma
 
   /** log C(n,k); NegativeInfinity outside the support 0 ≤ k ≤ n.
     *
@@ -75,9 +69,6 @@ object Combinatorics {
     val l = logBinom(n, k)
     if (l == Double.NegativeInfinity) 0.0 else math.exp(l)
   }
-
-  /** n·(n−1)/2, the edge count of a complete graph on n vertices. */
-  def choose2(n: Long): Long = n * (n - 1) / 2
 
   /** Hypergeometric pmf H(x; M, K, N) = C(K,x)·C(M−K,N−x)/C(M,N) (Eq. 12). */
   def hyper(x: Double, M: Double, K: Double, N: Double): Double = {

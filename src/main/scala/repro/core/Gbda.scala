@@ -6,7 +6,7 @@ package repro.core
   * Jeffreys GED prior `F(τ, v)` and the posterior `Φ(φ, v)` of Eq. (3).
   *
   * @param gedPrior `v → Pr[GED=τ], τ ∈ [0, τ̂]`
-  * @param phiTable `v → Φ(φ, v), φ ∈ [0, 3τ̂]`; same keys as `gedPrior`
+  * @param phiTable `v → Φ(φ, v), φ ∈ [0, 2τ̂]`; same keys as `gedPrior`
   */
 final case class GbdaModel(
     tauHat: Int,
@@ -20,14 +20,13 @@ final case class GbdaModel(
   def prGbd(phi: Int): Double = math.max(GbdaModel.MinGbdPrior, gmm.intervalProb(phi.toDouble))
 
   /** The rows of size `v`: `F(τ, v)` for τ ∈ [0, τ̂] and `Φ(φ, v)` for
-    * φ ∈ [0, 3τ̂], both from one Λ₁ matrix. `Φ = Σ_{τ≤τ̂} Λ₁·F / Pr[GBD=φ]`
+    * φ ∈ [0, 2τ̂], both from one Λ₁ matrix. `Φ = Σ_{τ≤τ̂} Λ₁·F / Pr[GBD=φ]`
     * (Eq. 3) is clamped to [0, 1]. This is the only place Φ is computed.
     */
   def tabulate(v: Long): (Array[Double], Array[Double]) = {
-    val p = ModelParams(v, nVertexLabels, nEdgeLabels)
-    val l1 = BranchModel.lambda1Matrix(tauHat, 3 * tauHat, p)
-    val prior = JeffreysPrior.fromLambda1(l1, p)
-    val phi = Array.tabulate(3 * tauHat + 1) { gbd =>
+    val (l1, dl1) = BranchModel.lambda1Matrix(tauHat, ModelParams(v, nVertexLabels, nEdgeLabels))
+    val prior = JeffreysPrior.fromLambda1(l1, dl1)
+    val phi = Array.tabulate(2 * tauHat + 1) { gbd =>
       val prG = prGbd(gbd)
       math.min(1.0, math.max(0.0, (0 to tauHat).map(tau => l1(tau)(gbd) * (prior(tau) / prG)).sum))
     }
@@ -68,14 +67,14 @@ object GbdaModel {
 object Gbda {
 
   /** Φ = Pr[GED(Q,G) ≤ τ̂ | GBD(Q,G) = φ] (Eq. 3), looked up in the
-    * model's table; 0 for φ > 3τ̂ (Λ₁ vanishes there). A size missing from
+    * model's table; 0 for φ > 2τ̂ (Λ₁ vanishes there). A size missing from
     * the table is tabulated for this call only.
     *
     * @param v extended size |V₁'| = max(|V_Q|, |V_G|) of the pair
     */
   def phi(gbd: Int, v: Long, model: GbdaModel): Double = {
     require(gbd >= 0, s"GBD must be non-negative, got $gbd")
-    if (gbd > 3L * model.tauHat) 0.0
+    if (gbd > 2L * model.tauHat) 0.0
     else model.phiTable.getOrElse(v, model.tabulate(v)._2)(gbd)
   }
 

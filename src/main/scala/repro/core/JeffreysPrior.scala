@@ -10,24 +10,24 @@ package repro.core
 object JeffreysPrior {
 
   /** Unnormalized sqrt-Fisher-information values for τ ∈ [0, τ̂], from the
-    * Λ₁ matrix `l1(τ)(φ)` of [[BranchModel.lambda1Matrix]] (τ̂ + 1 rows, at
-    * least 2τ̂ + 1 columns).
+    * Λ₁ matrix `l1(τ)(φ)` and its τ-derivative `dl1` of
+    * [[BranchModel.lambda1Matrix]], with d/dτ log Λ₁ = ∂Λ₁ / Λ₁ per cell.
     */
-  private[core] def raw(l1: Array[Array[Double]], p: ModelParams): Array[Double] =
+  private[core] def raw(l1: Array[Array[Double]], dl1: Array[Array[Double]]): Array[Double] =
     Array.tabulate(l1.length) { tau =>
       val row = l1(tau)
-      math.sqrt((0 to 2 * (l1.length - 1)).filter(row(_) > 0).map { phi =>
-        val d = BranchModel.dLogLambda1(tau, phi, row(phi), p)
+      math.sqrt(row.indices.filter(row(_) > 0).map { phi =>
+        val d = dl1(tau)(phi) / row(phi)
         row(phi) * d * d
       }.sum)
     }
 
-  /** `F(τ, v)` for all τ ∈ [0, τ̂] from a Λ₁ matrix at `p.v` (see [[raw]]),
-    * normalized so the entries sum to 1. Falls back to the uniform
-    * distribution if the information degenerates.
+  /** `F(τ, v)` for all τ ∈ [0, τ̂] from the matrices of [[raw]], normalized
+    * so the entries sum to 1. Falls back to the uniform distribution if the
+    * information degenerates.
     */
-  def fromLambda1(l1: Array[Array[Double]], p: ModelParams): Array[Double] = {
-    val r = raw(l1, p)
+  def fromLambda1(l1: Array[Array[Double]], dl1: Array[Array[Double]]): Array[Double] = {
+    val r = raw(l1, dl1)
     val z = r.sum
     if (z <= 0 || z.isNaN || z.isInfinite) Array.fill(r.length)(1.0 / r.length)
     else r.map(_ / z)
@@ -35,7 +35,7 @@ object JeffreysPrior {
 
   /** `F(τ, v)` for all τ ∈ [0, τ̂]. */
   def forV(v: Long, tauHat: Int, nVertexLabels: Int, nEdgeLabels: Int): Array[Double] = {
-    val p = ModelParams(v, nVertexLabels, nEdgeLabels)
-    fromLambda1(BranchModel.lambda1Matrix(tauHat, 2 * tauHat, p), p)
+    val (l1, dl1) = BranchModel.lambda1Matrix(tauHat, ModelParams(v, nVertexLabels, nEdgeLabels))
+    fromLambda1(l1, dl1)
   }
 }

@@ -13,8 +13,9 @@ final case class Edge(u: Int, v: Int, label: String) extends Serializable {
   * Branches (`Def. 2`) are materialized as sorted signature strings
   * `"L(v)|e1,e2,…"` where the incident edge labels are sorted ascending —
   * the "list of strings" storage the paper describes, flattened with
-  * separators that never occur in labels. Per Section 3 these accessory
-  * structures are considered pre-computed and stored with the graph.
+  * separators that are escaped inside labels (see [[LabeledGraph.branchSig]]).
+  * Per Section 3 these accessory structures are considered pre-computed and
+  * stored with the graph.
   */
 final case class LabeledGraph(id: Long, vertexLabels: Array[String], edges: Array[Edge])
     extends Serializable {
@@ -42,12 +43,6 @@ final case class LabeledGraph(id: Long, vertexLabels: Array[String], edges: Arra
     a
   }
 
-  /** Edge label between i and j, if the edge exists. */
-  def edgeLabel(i: Int, j: Int): Option[String] = {
-    val (a, b) = if (i < j) (i, j) else (j, i)
-    edges.collectFirst { case Edge(`a`, `b`, l) => l }
-  }
-
   /** Sorted multiset of all branch signatures B_G (Def. 2). */
   lazy val branches: Array[String] =
     LabeledGraph.branchesOf(vertexLabels, edges)
@@ -61,9 +56,17 @@ final case class LabeledGraph(id: Long, vertexLabels: Array[String], edges: Arra
 
 object LabeledGraph {
 
-  /** Build one branch signature from a vertex label and incident edge labels. */
+  /** Build one branch signature from a vertex label and incident edge labels.
+    * Injective for any label strings: `\`, `|` and `,` inside a label are
+    * escaped with `\`, and the empty label is the token `\0`, so a degree-0
+    * branch (`"A|"`) differs from one whose edge label is empty. A label
+    * without these characters appears unchanged.
+    */
   def branchSig(vertexLabel: String, incident: Seq[String]): String =
-    vertexLabel + "|" + incident.sorted.mkString(",")
+    escape(vertexLabel) + "|" + incident.map(escape).sorted.mkString(",")
+
+  private def escape(label: String): String =
+    if (label.isEmpty) "\\0" else label.replace("\\", "\\\\").replace("|", "\\|").replace(",", "\\,")
 
   /** All branch signatures, sorted ascending (the paper's ordered B_G). */
   def branchesOf(vertexLabels: Array[String], edges: Array[Edge]): Array[String] = {

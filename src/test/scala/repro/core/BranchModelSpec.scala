@@ -49,7 +49,7 @@ class BranchModelSpec extends AnyFunSuite {
   test("lambda1Row equals the direct triple sum of Eq. (7)") {
     for (v <- Seq(4L, 9L, 40L); tau <- 1 to 5) {
       val p = ModelParams(v, 3, 2)
-      val row = lambda1Row(tau, 3 * tau + 1, p)
+      val (row, _) = lambda1Row(tau, 3 * tau + 1, p)
       assert(row.length == 3 * tau + 2)
       for (phi <- row.indices) {
         var direct = 0.0
@@ -245,6 +245,7 @@ class BranchModelSpec extends AnyFunSuite {
       assert(math.abs(fd - an) < 1e-4 * math.max(1.0, math.abs(an)), s"fd=$fd analytic=$an")
     }
 
+  // d log Lambda1 / d tau, taken from lambda1Row's derivative row as dRow / row.
   test("dLogLambda1 matches finite difference of the continued Lambda1") {
     val p = ModelParams(6, 3, 3)
     def lambda1Cont(tauR: Double, tauInt: Int, phi: Int): Double = {
@@ -263,11 +264,15 @@ class BranchModelSpec extends AnyFunSuite {
       acc
     }
     val h = 1e-5
-    for (tau <- 1 to 4; phi <- 0 to 3 * tau if lambda1(tau, phi, p) > 1e-12) {
-      val fd = (math.log(lambda1Cont(tau + h, tau, phi)) - math.log(lambda1Cont(tau - h, tau, phi))) / (2 * h)
-      val an = dLogLambda1(tau, phi, lambda1(tau, phi, p), p)
-      assert(math.abs(fd - an) < 1e-3 * math.max(1.0, math.abs(an)),
-        s"tau=$tau phi=$phi fd=$fd analytic=$an")
+    // tau = 0 included: the derivative is not zero there (digamma terms).
+    for (tau <- 0 to 4) {
+      val (row, dRow) = lambda1Row(tau, 2 * tau, p)
+      for (phi <- row.indices if row(phi) > 1e-12) {
+        val fd = (math.log(lambda1Cont(tau + h, tau, phi)) - math.log(lambda1Cont(tau - h, tau, phi))) / (2 * h)
+        val an = dRow(phi) / row(phi)
+        assert(math.abs(fd - an) < 1e-3 * math.max(1.0, math.abs(an)),
+          s"tau=$tau phi=$phi fd=$fd analytic=$an")
+      }
     }
   }
 

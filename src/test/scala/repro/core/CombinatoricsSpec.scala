@@ -30,6 +30,9 @@ class CombinatoricsSpec extends AnyFunSuite {
 
   // ------------------------------------------------------------ digamma
 
+  /** Euler–Mascheroni constant: ψ(1) = −γ. */
+  private val EulerGamma = 0.5772156649015329
+
   test("digamma(1) = -EulerGamma") {
     assert(math.abs(digamma(1.0) + EulerGamma) < 1e-10)
   }
@@ -46,12 +49,6 @@ class CombinatoricsSpec extends AnyFunSuite {
     test(s"digamma recurrence psi(x+1) = psi(x) + 1/x at x=$x") {
       assert(math.abs(digamma(x + 1) - digamma(x) - 1 / x) < 1e-9)
     }
-
-  test("harmonic numbers H(1)=1, H(2)=1.5, H(4)=25/12") {
-    assert(math.abs(harmonic(1) - 1.0) < 1e-9)
-    assert(math.abs(harmonic(2) - 1.5) < 1e-9)
-    assert(math.abs(harmonic(4) - 25.0 / 12) < 1e-9)
-  }
 
   // ---------------------------------------------------------------- erf
 
@@ -110,11 +107,6 @@ class CombinatoricsSpec extends AnyFunSuite {
     // C(5e9, 10) ~ (5e9)^10/10! — check the log against the Stirling-free estimate
     val approx = 10 * math.log(5e9) - lgamma(11.0)
     assert(math.abs(l - approx) < 0.01)
-  }
-
-  test("choose2") {
-    assert(choose2(0) == 0 && choose2(1) == 0 && choose2(2) == 1)
-    assert(choose2(5) == 10 && choose2(100000) == 4999950000L)
   }
 
   // -------------------------------------------------------------- hyper

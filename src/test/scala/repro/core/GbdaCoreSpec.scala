@@ -10,7 +10,8 @@ class GbdaCoreSpec extends AnyFunSuite {
   }
 
   test("phi equals the hand-assembled Bayes sum (wiring check)") {
-    // v=4 is tabulated, v=9 is not; phi runs past the 3*tauHat cut-off.
+    // v=4 is tabulated, v=9 is not; phi runs past the 2*tauHat table, where
+    // Phi must be 0.
     for (tauHat <- Seq(0, 3); v <- Seq(4L, 9L)) {
       val m = model(tauHat, Seq(4L))
       assert(m.phiTable.contains(v) == (v == 4L))
@@ -20,6 +21,7 @@ class GbdaCoreSpec extends AnyFunSuite {
         val raw = (0 to tauHat).map(t => BranchModel.lambda1(t, phi, p) * prior(t) / m.prGbd(phi)).sum
         val expected = math.min(1.0, math.max(0.0, raw))
         assert(math.abs(Gbda.phi(phi, v, m) - expected) < 1e-12, s"tauHat=$tauHat v=$v phi=$phi")
+        if (phi > 2 * tauHat) assert(Gbda.phi(phi, v, m) == 0.0, s"tauHat=$tauHat v=$v phi=$phi")
       }
     }
   }
@@ -30,7 +32,7 @@ class GbdaCoreSpec extends AnyFunSuite {
     val m2 = m.ensureVs(Seq(9L))
     assert(m2.phiTable.keySet == Set(4L, 9L) && m2.gedPrior.keySet == Set(4L, 9L))
     assert((0 to 9).map(Gbda.phi(_, 9L, m2)) == onTheFly)
-    assert(m2.phiTable(9L).toSeq == onTheFly)
+    assert(m2.phiTable(9L).toSeq == onTheFly.take(7)) // the row holds phi in [0, 2*tauHat]
   }
 
   test("ensureVs covers requested sizes and deduplicates") {
@@ -72,7 +74,7 @@ class GbdaCoreSpec extends AnyFunSuite {
     val fresh = model(2, Seq(4L, 7L))
     assert(m.phiTable.keySet == Set(4L, 7L))
     for (v <- Seq(4L, 7L)) {
-      assert(m.phiTable(v).length == 7, s"v=$v")
+      assert(m.phiTable(v).length == 5, s"v=$v")
       assert(m.phiTable(v).toSeq == fresh.phiTable(v).toSeq, s"v=$v")
     }
   }

@@ -31,7 +31,8 @@ class JeffreysPriorSpec extends AnyFunSuite {
 
   test("raw Fisher information is finite and non-negative") {
     val p = ModelParams(12L, 3, 3)
-    val r = JeffreysPrior.raw(BranchModel.lambda1Matrix(4, 8, p), p)
+    val (l1, dl1) = BranchModel.lambda1Matrix(4, p)
+    val r = JeffreysPrior.raw(l1, dl1)
     assert(r.forall(x => x >= 0 && !x.isNaN && !x.isInfinite), r.toSeq.toString)
   }
 

@@ -35,6 +35,28 @@ class LabeledGraphSpec extends AnyFunSuite {
   test("branch signature sorts incident labels (canonical form)") {
     assert(LabeledGraph.branchSig("A", Seq("z", "x", "y")) == "A|x,y,z")
     assert(LabeledGraph.branchSig("A", Seq.empty) == "A|")
+    assert(LabeledGraph.branchSig("F1:L2", Seq("e2", "e0")) == "F1:L2|e0,e2") // a generator's labels
+  }
+
+  test("GBD is exact for an edge label containing the separator ','") {
+    // G1 = {A–B labelled "b,c"}, G2 = {A–B labelled b, A–C labelled c}: no
+    // branch is shared, so Def. 4 gives max(2, 3) − 0 = 3.
+    val a = LabeledGraph(1L, Array("A", "B"), Array(Edge(0, 1, "b,c")))
+    val b = LabeledGraph(2L, Array("A", "B", "C"), Array(Edge(0, 1, "b"), Edge(0, 2, "c")))
+    assert(a.branches.intersect(b.branches).isEmpty, (a.branches.toSeq, b.branches.toSeq))
+    assert(LabeledGraph.gbd(a, b) == 3)
+    // a label ending in the escape character, next to another label
+    assert(LabeledGraph.branchSig("A", Seq("a\\", "b")) != LabeledGraph.branchSig("A", Seq("a,b")))
+    assert(LabeledGraph.branchSig("A|b", Seq.empty) != LabeledGraph.branchSig("A", Seq("b")))
+  }
+
+  test("GBD is exact for an empty edge label") {
+    // An edge labelled "" still changes both endpoint branches.
+    val withEdge = LabeledGraph(1L, Array("A", "B"), Array(Edge(0, 1, "")))
+    val without = LabeledGraph(2L, Array("A", "B"), Array.empty)
+    assert(LabeledGraph.gbd(withEdge, without) == 2)
+    assert(LabeledGraph.branchSig("A", Seq("")) != LabeledGraph.branchSig("A", Seq.empty))
+    assert(LabeledGraph.branchSig("A", Seq("", "")) != LabeledGraph.branchSig("A", Seq(",")))
   }
 
   test("degrees and average degree") {
@@ -42,13 +64,6 @@ class LabeledGraphSpec extends AnyFunSuite {
     assert(g2.degrees.toSeq == Seq(2, 1, 1, 2))
     assert(math.abs(g1.avgDegree - 2.0) < 1e-12)
     assert(math.abs(g2.avgDegree - 1.5) < 1e-12)
-  }
-
-  test("edgeLabel lookup works regardless of orientation") {
-    assert(g1.edgeLabel(0, 1).contains("y"))
-    assert(g1.edgeLabel(1, 0).contains("y"))
-    assert(g1.edgeLabel(1, 2).contains("z"))
-    assert(g2.edgeLabel(1, 2).isEmpty)
   }
 
   test("self-loops are rejected") {
@@ -91,7 +106,7 @@ class LabeledGraphSpec extends AnyFunSuite {
       assert(LabeledGraph.gbd(g, g) == 0)
       val nonEdges = for {
         i <- 0 until g.n; j <- i + 1 until g.n
-        if g.edgeLabel(i, j).isEmpty
+        if !g.edges.exists(e => e.u == i && e.v == j)
       } yield (i, j)
       if (nonEdges.nonEmpty) {
         val (i, j) = nonEdges.head

@@ -1,10 +1,11 @@
 package repro.spark
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
 import repro.{Oracle, SparkSpec}
 import repro.TestGraphs.{g1, g2, randomSmall}
-import repro.graphs.{GraphGen, LabeledGraph}
+import repro.graphs.{Edge, GraphGen, LabeledGraph}
 
 class GbdSparkSpec extends SparkSpec {
 
@@ -33,23 +34,46 @@ class GbdSparkSpec extends SparkSpec {
     }
   }
 
-  test("gbdVsAllJoin result matches DuckDB SQL over the exploded branch tables (Oracle)") {
-    val bc = GraphFrames.branchCounts(dbDf)
-    val qCounts = g1.branches.groupBy(identity).toSeq.map { case (s, xs) => (s, xs.length) }
+  /** Checks `gbdVsAllJoin(df, q)` against DuckDB SQL over the exploded
+    * branch tables.
+    */
+  private def assertJoinMatchesDuckDb(df: DataFrame, q: LabeledGraph): Unit = {
+    val bc = GraphFrames.branchCounts(df)
+    val qCounts = q.branches.groupBy(identity).toSeq.map { case (s, xs) => (s, xs.length) }
     import spark.implicits._
     val qDf = qCounts.toDF("sig", "qcnt")
-    val gDf = dbDf.select("gid", "nv")
-    val sparkRes = GbdSpark.gbdVsAllJoin(dbDf, g1)
+    val gDf = df.select("gid", "nv")
+    val sparkRes = GbdSpark.gbdVsAllJoin(df, q)
     Oracle.assertEquivalent(
       sparkRes,
       s"""SELECT CAST(g.gid AS BIGINT) AS gid,
-         |       CAST(GREATEST(CAST(g.nv AS INT), ${g1.n}) - COALESCE(i.inter, 0) AS INT) AS gbd
+         |       CAST(GREATEST(CAST(g.nv AS INT), ${q.n}) - COALESCE(i.inter, 0) AS INT) AS gbd
          |FROM g LEFT JOIN (
          |  SELECT bc.gid AS gid, SUM(LEAST(CAST(bc.cnt AS INT), CAST(q.qcnt AS INT))) AS inter
          |  FROM bc JOIN q ON bc.sig = q.sig
          |  GROUP BY bc.gid
          |) i ON g.gid = i.gid""".stripMargin,
       "bc" -> bc, "q" -> qDf, "g" -> gDf)
+  }
+
+  test("gbdVsAllJoin result matches DuckDB SQL over the exploded branch tables (Oracle)") {
+    assertJoinMatchesDuckDb(dbDf, g1)
+  }
+
+  test("an edge label containing ',' gives the Def. 4 GBD on every distributed path") {
+    // The query's one edge is labelled "b,c"; graph 2 has edges b and c at A.
+    val q = LabeledGraph(1L, Array("A", "B"), Array(Edge(0, 1, "b,c")))
+    val sep = LabeledGraph(2L, Array("A", "B", "C"), Array(Edge(0, 1, "b"), Edge(0, 2, "c")))
+    val sepDb = Seq(sep, q.copy(id = 3L)) ++ (1 to 6).map(s => randomSmall(s, 3 + s % 3))
+    val df = GraphFrames.toBranchDf(spark, sepDb).cache()
+    val model = GbdaSearch.fitModel(df, tauHat = 2, nPairs = 20)
+    val served = GbdaSearch.search(df, model, q, gamma = 0.0).collect()
+      .map(r => r.getLong(0) -> r.getInt(1)).toMap
+    val join = GbdSpark.gbdVsAllJoin(df, q).collect().map(r => r.getLong(0) -> r.getInt(1)).toMap
+    assert(join(2L) == 3 && join(3L) == 0)
+    assert(served == join)
+    sepDb.foreach(g => assert(join(g.id) == LabeledGraph.gbd(q, g), s"gid=${g.id}"))
+    assertJoinMatchesDuckDb(df, q)
   }
 
   test("pairwiseGbd matches the in-memory GBD on an explicit pair list") {

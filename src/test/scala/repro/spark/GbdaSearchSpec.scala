@@ -37,7 +37,7 @@ class GbdaSearchSpec extends SparkSpec {
     }
     assert(model.phiTable.keySet == model.gedPrior.keySet)
     model.phiTable.values.foreach { row =>
-      assert(row.length == 3 * model.tauHat + 1)
+      assert(row.length == 2 * model.tauHat + 1)
       assert(row.forall(phi => phi >= 0.0 && phi <= 1.0), row.toSeq)
     }
   }
