@@ -5,7 +5,7 @@ import org.apache.spark.sql.SparkSession
 /** Shared local-mode session builder for the spark-submit entrypoints. */
 object JobSession {
   def local(name: String): SparkSession =
-    SparkSession.builder
+    SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(name)
       .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))

@@ -1,5 +1,6 @@
 package repro.baselines
 
+import repro.core.GbdaOps
 import repro.graphs.LabeledGraph
 
 /** Thrown when a baseline would exceed its configured memory envelope —
@@ -38,7 +39,7 @@ object BipartiteGed {
         c(i)(j) =
           if (i < n1 && j < n2) // substitution
             (if (g1.vertexLabels(i) == g2.vertexLabels(j)) 0.0 else 1.0) +
-              multisetDistance(inc1(i), inc2(j)) / 2.0
+              GbdaOps.gbdFromSortedBranches(inc1(i), inc2(j)) / 2.0
           else if (i < n1 && j >= n2) // deletion (only to its own ε-slot)
             if (j - n2 == i) 1.0 + inc1(i).length / 2.0 else Inf
           else if (i >= n1 && j < n2) // insertion
@@ -54,8 +55,11 @@ object BipartiteGed {
   /** LSAP estimate with the Hungarian solver (O(n³)). */
   def estimateHungarian(g1: LabeledGraph, g2: LabeledGraph, maxN: Int = DefaultMaxN): Int = {
     guard(g1, g2, maxN, "LSAP")
-    val (assign, _) = Hungarian.solve(costMatrix(g1, g2))
-    inducedCost(g1, g2, mappingFromAssignment(g1.n, g2.n, assign))
+    if (g1.n + g2.n == 0) 0 // two empty graphs: the solver rejects their 0×0 cost matrix
+    else {
+      val (assign, _) = Hungarian.solve(costMatrix(g1, g2))
+      inducedCost(g1, g2, mappingFromAssignment(g1.n, g2.n, assign))
+    }
   }
 
   /** Vertex mapping i → j ∈ [0,n₂) or −1 (deletion) from a square assignment. */
@@ -115,17 +119,6 @@ object BipartiteGed {
     val inc = Array.fill(g.n)(List.empty[String])
     g.edges.foreach { e => inc(e.u) ::= e.label; inc(e.v) ::= e.label }
     inc.map(_.sorted.toArray)
-  }
-
-  private[baselines] def multisetDistance(a: Array[String], b: Array[String]): Int = {
-    var i = 0
-    var j = 0
-    var inter = 0
-    while (i < a.length && j < b.length) {
-      val c = a(i).compareTo(b(j))
-      if (c == 0) { inter += 1; i += 1; j += 1 } else if (c < 0) i += 1 else j += 1
-    }
-    math.max(a.length, b.length) - inter
   }
 
   private def pairKey(a: Int, b: Int, n: Int): Long =

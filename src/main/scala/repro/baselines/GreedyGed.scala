@@ -47,12 +47,4 @@ object GreedyGed {
     }
     assign
   }
-
-  /** Total matrix cost of an assignment (for optimality comparisons). */
-  def assignmentCost(cost: Array[Array[Double]], assign: Array[Int]): Double = {
-    var s = 0.0
-    var i = 0
-    while (i < assign.length) { s += cost(i)(assign(i)); i += 1 }
-    s
-  }
 }

@@ -26,7 +26,7 @@ object Combinatorics {
     0.5 * math.log(2 * math.Pi) + (z + 0.5) * math.log(t) - t + math.log(a)
   }
 
-  /** Digamma ψ(x) for x > 0 (recurrence below 6, then asymptotic series). */
+  /** Digamma ψ(x) for x > 0 (recurrence below 12, then asymptotic series). */
   def digamma(x0: Double): Double = {
     require(x0 > 0, s"digamma requires x > 0, got $x0")
     var x = x0

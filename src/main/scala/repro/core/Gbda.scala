@@ -46,10 +46,10 @@ final case class GbdaModel(
 
   /** Re-target the model to a different similarity threshold: the GMM GBD
     * prior is τ̂-independent, but `F(τ, v)` is normalized over τ ∈ [0, τ̂], so
-    * every row is re-tabulated, for `vs` and the sizes already held.
+    * every size the model holds is re-tabulated.
     */
-  def withTauHat(newTauHat: Int, vs: Seq[Long]): GbdaModel =
-    copy(tauHat = newTauHat, gedPrior = Map.empty, phiTable = Map.empty).ensureVs(vs ++ gedPrior.keys)
+  def withTauHat(newTauHat: Int): GbdaModel =
+    copy(tauHat = newTauHat, gedPrior = Map.empty, phiTable = Map.empty).ensureVs(gedPrior.keys.toSeq)
 }
 
 object GbdaModel {
@@ -107,14 +107,18 @@ object Gbda {
   }
 }
 
-/** Branch-multiset primitives shared by the in-memory and Spark paths.
-  * (Lives in `core` so `Gbda.search` has no dependency on the graph model.)
+/** The one label-multiset kernel, shared by the in-memory and Spark GBD
+  * paths, the LSAP/Greedy-Sort-GED substitution costs and the GED label
+  * bound. (Lives in `core` so `Gbda.search` has no dependency on the graph
+  * model.)
   */
 object GbdaOps {
 
-  /** GBD from two *sorted* branch-signature multisets (Def. 4):
-    * max(|B₁|,|B₂|) − |B₁ ∩ B₂|, two-pointer intersection — the
-    * max(m₁,m₂)-comparison bound the paper cites.
+  /** Multiset distance max(|A|,|B|) − |A ∩ B| of two string arrays sorted by
+    * `String.compareTo`: the fewest single-element changes (add, remove,
+    * replace) turning A into B, by a two-pointer intersection — the
+    * O(max(|A|, |B|)) comparison bound the paper cites. On two branch
+    * multisets it is GBD (Def. 4).
     */
   def gbdFromSortedBranches(b1: Array[String], b2: Array[String]): Int = {
     var i = 0

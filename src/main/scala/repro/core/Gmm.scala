@@ -11,14 +11,6 @@ final case class Gmm(weights: Array[Double], means: Array[Double], sigmas: Array
 
   def k: Int = weights.length
 
-  /** Mixture density f(φ), Eq. (14). */
-  def pdf(x: Double): Double = {
-    var s = 0.0
-    var i = 0
-    while (i < k) { s += weights(i) * Combinatorics.normPdf(x, means(i), sigmas(i)); i += 1 }
-    s
-  }
-
   /** `Pr[GBD = φ]` by continuity correction over [φ−0.5, φ+0.5] (Eq. 15). */
   def intervalProb(phi: Double): Double = {
     var s = 0.0

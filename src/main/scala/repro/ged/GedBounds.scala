@@ -1,5 +1,6 @@
 package repro.ged
 
+import repro.core.GbdaOps
 import repro.graphs.LabeledGraph
 
 /** Cheap GED bounds used to certify the known-GED synthetic generator
@@ -7,22 +8,13 @@ import repro.graphs.LabeledGraph
   */
 object GedBounds {
 
-  /** Multiset distance max(|A|,|B|) − |A ∩ B|: the minimal number of
-    * single-element changes (add / remove / replace) turning A into B.
-    */
-  def multisetDistance(a: Seq[String], b: Seq[String]): Int = {
-    val ca = a.groupBy(identity).map { case (k, v) => k -> v.size }
-    var inter = 0
-    b.groupBy(identity).foreach { case (k, v) => inter += math.min(v.size, ca.getOrElse(k, 0)) }
-    math.max(a.size, b.size) - inter
-  }
-
-  /** Lower bound `dV + dE ≤ GED`: each of the six edit operations changes
-    * either the vertex-label multiset or the edge-label multiset (never
-    * both — DV only removes *isolated* vertices), and by at most one
-    * element each.
+  /** Lower bound `dV + dE ≤ GED`, with dV and dE the multiset distances
+    * ([[GbdaOps.gbdFromSortedBranches]]) of the vertex-label and edge-label
+    * multisets: each of the six edit operations changes one of the two
+    * multisets (never both — DV only removes *isolated* vertices), and by at
+    * most one element.
     */
   def labelLowerBound(g1: LabeledGraph, g2: LabeledGraph): Int =
-    multisetDistance(g1.vertexLabelMultiset, g2.vertexLabelMultiset) +
-      multisetDistance(g1.edgeLabelMultiset, g2.edgeLabelMultiset)
+    GbdaOps.gbdFromSortedBranches(g1.vertexLabels.sorted, g2.vertexLabels.sorted) +
+      GbdaOps.gbdFromSortedBranches(g1.edges.map(_.label).sorted, g2.edges.map(_.label).sorted)
 }

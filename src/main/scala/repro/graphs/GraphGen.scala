@@ -266,7 +266,7 @@ object GraphGen {
       vAlphabet: IndexedSeq[String],
       eAlphabet: IndexedSeq[String],
       rng: Random): LabeledGraph = {
-    var labels = g.vertexLabels.clone()
+    val labels = g.vertexLabels.clone()
     val edges = mutable.ArrayBuffer.empty[Edge] ++ g.edges
     var o = 0
     while (o < ops) {

@@ -33,25 +33,9 @@ final case class LabeledGraph(id: Long, vertexLabels: Array[String], edges: Arra
     d
   }
 
-  /** Adjacency as (neighbor, edge label) lists. */
-  lazy val adjacency: Array[List[(Int, String)]] = {
-    val a = Array.fill(n)(List.empty[(Int, String)])
-    edges.foreach { e =>
-      a(e.u) ::= (e.v, e.label)
-      a(e.v) ::= (e.u, e.label)
-    }
-    a
-  }
-
   /** Sorted multiset of all branch signatures B_G (Def. 2). */
   lazy val branches: Array[String] =
     LabeledGraph.branchesOf(vertexLabels, edges)
-
-  /** Multiset of vertex labels (for label-based GED bounds). */
-  def vertexLabelMultiset: Seq[String] = vertexLabels.toSeq
-
-  /** Multiset of edge labels. */
-  def edgeLabelMultiset: Seq[String] = edges.map(_.label).toSeq
 }
 
 object LabeledGraph {

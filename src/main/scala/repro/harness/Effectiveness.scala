@@ -40,14 +40,13 @@ object Effectiveness {
     val base = GbdaSearch.fitModel(graphsDf, tauHat = tauHats.max, nPairs = nPriorPairs,
       extraVs = set.queries.map(_.n.toLong).distinct)
     graphsDf.unpersist()
-    val vs = (set.db.map(_.n.toLong) ++ set.queries.map(_.n.toLong)).distinct
 
     tauHats.flatMap { th =>
       def metrics(method: String, gamma: Option[Double])(pred: (LabeledGraph, LabeledGraph) => Boolean): Row =
         Row(set.cfg.name, method, th, gamma,
           Confusion.count(pairs)({ case (q, g) => gt((q.id, g.id)) <= th }, pred.tupled))
 
-      val model = base.withTauHat(th, vs)
+      val model = base.withTauHat(th)
       val phiCache = pairs.map { case (q, g) =>
         (q.id, g.id) -> Gbda.score(g.n, g.branches, q.n, q.branches, model)._2
       }.toMap

@@ -34,11 +34,10 @@ object Efficiency {
       val base = GbdaSearch.fitModel(graphsDf, tauHat = tauHats.max, nPairs = 2000,
         extraVs = set.queries.map(_.n.toLong).distinct)
       graphsDf.unpersist()
-      val vs = (db.map(_.n.toLong) ++ set.queries.map(_.n.toLong)).distinct
       val dbTriples = db.map(g => (g.id, g.n, g.branches))
 
       val gbdaRows = tauHats.map { th =>
-        val model = base.withTauHat(th, vs)
+        val model = base.withTauHat(th)
         val (_, ms) = TableText.timeMs {
           set.queries.foreach(q => Gbda.search(dbTriples, q.n, q.branches, model, gamma = 0.5))
         }

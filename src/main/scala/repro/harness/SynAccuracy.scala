@@ -37,7 +37,7 @@ object SynAccuracy {
       }.toMap
 
       tauHats.flatMap { th =>
-        val model = base.withTauHat(th, Seq(n.toLong))
+        val model = base.withTauHat(th)
         val phiCache = pairs.map { case (q, g) =>
           (q.id, g.id) -> Gbda.phi(gbdCache((q.id, g.id)), n.toLong, model)
         }.toMap

@@ -7,7 +7,7 @@ import scala.jdk.CollectionConverters._
 
 import repro.graphs.{Edge, LabeledGraph}
 
-/** Graph dataset ⇄ DataFrame codec.
+/** Graph dataset → DataFrame encoder.
   *
   * One row per graph: `gid: long, nv: int, vlabels: array<string>,
   * edges: array<struct<src:int, dst:int, label:string>>`, plus the
@@ -16,42 +16,33 @@ import repro.graphs.{Edge, LabeledGraph}
   */
 object GraphFrames {
 
-  val edgeType: StructType = StructType(Seq(
+  private val edgeType: StructType = StructType(Seq(
     StructField("src", IntegerType, nullable = false),
     StructField("dst", IntegerType, nullable = false),
     StructField("label", StringType, nullable = false)))
 
-  val schema: StructType = StructType(Seq(
+  private val schema: StructType = StructType(Seq(
     StructField("gid", LongType, nullable = false),
     StructField("nv", IntegerType, nullable = false),
     StructField("vlabels", ArrayType(StringType, containsNull = false), nullable = false),
     StructField("edges", ArrayType(edgeType, containsNull = false), nullable = false)))
 
-  /** Encode graphs as a DataFrame (without branches; see [[withBranches]]). */
-  def toDf(spark: SparkSession, graphs: Seq[LabeledGraph]): DataFrame = {
+  /** Encode graphs with branches pre-computed — the standard input of the
+    * GBD/GBDA operators. Branch extraction (Def. 2) runs as a DataFrame UDF
+    * that appends the sorted branch-signature multiset column.
+    */
+  def toBranchDf(spark: SparkSession, graphs: Seq[LabeledGraph]): DataFrame = {
     val rows = graphs.map { g =>
       Row(g.id, g.n, g.vertexLabels.toSeq, g.edges.toSeq.map(e => Row(e.u, e.v, e.label)))
     }
-    spark.createDataFrame(rows.asJava, schema)
-  }
-
-  /** Branch extraction as a DataFrame UDF (Def. 2): appends the sorted
-    * branch-signature multiset column.
-    */
-  def withBranches(df: DataFrame): DataFrame = {
     val branchesUdf = udf { (vlabels: Seq[String], edges: Seq[Row]) =>
       LabeledGraph.branchesOf(
         vlabels.toArray,
         edges.map(r => Edge(r.getInt(0), r.getInt(1), r.getString(2))).toArray).toSeq
     }
-    df.withColumn("branches", branchesUdf(col("vlabels"), col("edges")))
+    spark.createDataFrame(rows.asJava, schema)
+      .withColumn("branches", branchesUdf(col("vlabels"), col("edges")))
   }
-
-  /** Encode graphs with branches pre-computed — the standard input of the
-    * GBD/GBDA operators.
-    */
-  def toBranchDf(spark: SparkSession, graphs: Seq[LabeledGraph]): DataFrame =
-    withBranches(toDf(spark, graphs))
 
   /** Exploded per-branch counts `(gid, sig, cnt)` — the pure-Catalyst GBD
     * path and the representation handed to the DuckDB oracle.
@@ -61,11 +52,4 @@ object GraphFrames {
       .select(col("gid"), explode(col("branches")).as("sig"))
       .groupBy("gid", "sig")
       .agg(count(lit(1)).as("cnt"))
-
-  /** Decode back to the in-memory model (tests / small collections only). */
-  def collectGraphs(df: DataFrame): Seq[LabeledGraph] =
-    df.select("gid", "nv", "vlabels", "edges").collect().toSeq.map { r =>
-      val edges = r.getSeq[Row](3).map(e => Edge(e.getInt(0), e.getInt(1), e.getString(2)))
-      LabeledGraph(r.getLong(0), r.getSeq[String](2).toArray, edges.toArray)
-    }
 }

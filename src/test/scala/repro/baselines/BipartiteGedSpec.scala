@@ -4,12 +4,15 @@ import org.scalatest.funsuite.AnyFunSuite
 
 import repro.TestGraphs.{g1, g2, randomSmall}
 import repro.ged.ExactGed
+import repro.graphs.LabeledGraph
 
 class BipartiteGedSpec extends AnyFunSuite {
 
   test("estimate on identical graphs is 0") {
     assert(BipartiteGed.estimateHungarian(g1, g1) == 0)
     assert(BipartiteGed.estimateHungarian(g2, g2) == 0)
+    val empty = LabeledGraph(1L, Array.empty, Array.empty)
+    assert(BipartiteGed.estimateHungarian(empty, empty) == 0)
   }
 
   test("estimate on the running example upper-bounds GED(G1,G2)=3") {

@@ -21,7 +21,7 @@ class GreedyGedSpec extends AnyFunSuite {
       val rng = new Random(seed)
       val n = 3 + rng.nextInt(8)
       val c = Array.fill(n, n)(rng.nextDouble() * 10)
-      val greedy = GreedyGed.assignmentCost(c, GreedyGed.greedyAssignment(c))
+      val greedy = GreedyGed.greedyAssignment(c).zipWithIndex.map { case (j, i) => c(i)(j) }.sum
       val (_, opt) = Hungarian.solve(c)
       assert(greedy >= opt - 1e-9, s"greedy=$greedy opt=$opt")
     }

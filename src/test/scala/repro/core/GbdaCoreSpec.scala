@@ -52,8 +52,9 @@ class GbdaCoreSpec extends AnyFunSuite {
     }
   }
 
-  test("phi short-circuits to 0 beyond 3*tauHat") {
+  test("phi short-circuits to 0 beyond 2*tauHat") {
     val m = model(2, Seq(10L))
+    assert(Gbda.phi(5, 10L, m) == 0.0) // first phi past the table row [0, 2*tauHat]
     assert(Gbda.phi(7, 10L, m) == 0.0)
     assert(Gbda.phi(100, 10L, m) == 0.0)
   }
@@ -64,13 +65,13 @@ class GbdaCoreSpec extends AnyFunSuite {
   }
 
   test("withTauHat retabulates the GED prior at the new threshold") {
-    val m = model(5, Seq(4L, 7L)).withTauHat(2, Seq(4L, 7L))
+    val m = model(5, Seq(4L, 7L)).withTauHat(2)
     assert(m.tauHat == 2)
     m.gedPrior.values.foreach { p => assert(p.length == 3 && math.abs(p.sum - 1.0) < 1e-9) }
   }
 
   test("withTauHat retabulates Phi with rows of the new length") {
-    val m = model(5, Seq(4L)).withTauHat(2, Seq(7L))
+    val m = model(5, Seq(4L)).withTauHat(2).ensureVs(Seq(7L))
     val fresh = model(2, Seq(4L, 7L))
     assert(m.phiTable.keySet == Set(4L, 7L))
     for (v <- Seq(4L, 7L)) {
@@ -120,6 +121,11 @@ class GbdaCoreSpec extends AnyFunSuite {
     assert(gbdFromSortedBranches(a, Array("b", "b", "d")) == 2)
     assert(gbdFromSortedBranches(Array.empty[String], a) == 4)
     assert(gbdFromSortedBranches(a, Array.empty[String]) == 4)
+    // label multisets, as the GED label bound and the LSAP costs pass them
+    assert(gbdFromSortedBranches(Array("a", "b"), Array("a", "b")) == 0)
+    assert(gbdFromSortedBranches(Array("a", "a"), Array("a")) == 1)
+    assert(gbdFromSortedBranches(Array.empty[String], Array("x", "y")) == 2)
+    assert(gbdFromSortedBranches(Array("a", "b", "b"), Array("b", "c", "c")) == 2)
   }
 
   test("gbdFromSortedBranches respects multiset (not set) semantics") {

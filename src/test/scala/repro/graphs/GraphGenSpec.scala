@@ -10,13 +10,15 @@ class GraphGenSpec extends AnyFunSuite {
 
   private def isConnected(g: LabeledGraph): Boolean = {
     if (g.n == 0) return true
+    val neighbours = Array.fill(g.n)(List.empty[Int])
+    g.edges.foreach { e => neighbours(e.u) ::= e.v; neighbours(e.v) ::= e.u }
     val seen = new Array[Boolean](g.n)
     var stack = List(0)
     seen(0) = true
     var count = 1
     while (stack.nonEmpty) {
       val v = stack.head; stack = stack.tail
-      g.adjacency(v).foreach { case (u, _) =>
+      neighbours(v).foreach { u =>
         if (!seen(u)) { seen(u) = true; count += 1; stack ::= u }
       }
     }

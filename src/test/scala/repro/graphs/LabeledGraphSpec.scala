@@ -84,13 +84,6 @@ class LabeledGraphSpec extends AnyFunSuite {
       LabeledGraph(1L, Array("A", "B", "C"), Array(Edge(0, 1, "x"), Edge(1, 2, "x"), Edge(0, 1, "y"))))
   }
 
-  test("adjacency is consistent with edges") {
-    for (g <- Seq(g1, g2); e <- g.edges) {
-      assert(g.adjacency(e.u).exists { case (v, l) => v == e.v && l == e.label })
-      assert(g.adjacency(e.v).exists { case (v, l) => v == e.u && l == e.label })
-    }
-  }
-
   for (seed <- 1 to 10)
     test(s"GBD upper-bounded by max(|V1|,|V2|) and symmetric (seed=$seed)") {
       val a = randomSmall(seed, 4 + seed % 4)

@@ -1,7 +1,6 @@
 package repro.spark
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
 
 import repro.{Oracle, SparkSpec}
 import repro.TestGraphs.{g1, g2, randomSmall}

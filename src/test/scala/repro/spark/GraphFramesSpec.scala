@@ -1,22 +1,25 @@
 package repro.spark
 
+import org.apache.spark.sql.Row
+
 import repro.SparkSpec
 import repro.TestGraphs.{g1, g2, randomSmall}
-import repro.graphs.LabeledGraph
+import repro.graphs.{Edge, LabeledGraph}
 
 class GraphFramesSpec extends SparkSpec {
 
   private lazy val graphs = Seq(g1, g2) ++ (1 to 8).map(s => randomSmall(s + 10, 4 + s % 4))
 
-  test("toDf/collectGraphs roundtrip preserves ids, labels and edges") {
-    val back = GraphFrames.collectGraphs(GraphFrames.toDf(spark, graphs))
-      .sortBy(_.id)
-    val orig = graphs.sortBy(_.id)
-    assert(back.size == orig.size)
-    back.zip(orig).foreach { case (b, o) =>
-      assert(b.id == o.id)
-      assert(b.vertexLabels.toSeq == o.vertexLabels.toSeq)
-      assert(b.edges.toSeq == o.edges.toSeq)
+  test("toBranchDf preserves ids, sizes, labels and edges") {
+    val rows = GraphFrames.toBranchDf(spark, graphs).select("gid", "nv", "vlabels", "edges").collect()
+      .map(r => r.getLong(0) -> r).toMap
+    assert(rows.size == graphs.size)
+    graphs.foreach { g =>
+      val r = rows(g.id)
+      assert(r.getInt(1) == g.n, s"gid=${g.id}")
+      assert(r.getSeq[String](2) == g.vertexLabels.toSeq, s"gid=${g.id}")
+      assert(r.getSeq[Row](3).map(e => Edge(e.getInt(0), e.getInt(1), e.getString(2))) == g.edges.toSeq,
+        s"gid=${g.id}")
     }
   }
 
@@ -61,7 +64,8 @@ class GraphFramesSpec extends SparkSpec {
 
   test("empty edge list and single-vertex graphs survive the codec") {
     val tiny = LabeledGraph(77L, Array("X"), Array.empty)
-    val back = GraphFrames.collectGraphs(GraphFrames.toDf(spark, Seq(tiny)))
-    assert(back.head.id == 77L && back.head.n == 1 && back.head.m == 0)
+    val r = GraphFrames.toBranchDf(spark, Seq(tiny)).select("gid", "nv", "vlabels", "edges", "branches").head()
+    assert(r.getLong(0) == 77L && r.getInt(1) == 1 && r.getSeq[String](2) == Seq("X"))
+    assert(r.getSeq[Row](3).isEmpty && r.getSeq[String](4) == Seq("X|"))
   }
 }
