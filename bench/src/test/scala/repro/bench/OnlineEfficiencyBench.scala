@@ -22,6 +22,7 @@ class OnlineEfficiencyBench extends SparkSpec {
       val lsap = here.find(_.method == "LSAP").get.avgQueryMs
       val greedy = here.find(_.method == "Greedy-Sort-GED").get.avgQueryMs
       assert(gbda.nonEmpty && gbda.forall(_ > 0))
+      assert(here.filter(_.method == "GBDA (Spark)").map(_.tauHat) == Seq(1, 5, 10))
       // Fig. 14 shape: GBDA beats the assignment-based methods at every tauHat
       assert(gbda.max < lsap, s"$ds: GBDA ${gbda.max}ms !< LSAP ${lsap}ms")
       assert(gbda.max < greedy, s"$ds: GBDA ${gbda.max}ms !< Greedy ${greedy}ms")

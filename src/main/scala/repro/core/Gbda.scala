@@ -61,8 +61,8 @@ object GbdaModel {
 }
 
 /** Steps 3–4 of Algorithm 1 (the per-graph online decision), shared between
-  * the driver-side reference search and the Spark UDF in
-  * [[repro.spark.GbdaSearch]].
+  * the driver-side reference search and the served Spark search,
+  * [[repro.spark.GbdaSearch.search]].
   */
 object Gbda {
 

@@ -1,11 +1,16 @@
 package repro.spark
 
-import org.apache.spark.sql.DataFrame
+import java.util.{Collections, WeakHashMap}
+
+import org.apache.spark.rdd.RDD
+import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types._
 
 import repro.core._
 import repro.graphs.LabeledGraph
 
+import scala.jdk.CollectionConverters._
 import scala.util.Random
 
 /** Distributed GBDA (Algorithm 1).
@@ -16,10 +21,12 @@ import scala.util.Random
   * `F(τ,v)` (Eq. 16) and the posterior `Φ(φ,v)` (Eq. 3) as Spark tasks —
   * mirroring the paper's fully parallel offline processes (Section 7.2).
   *
-  * Online stage ([[search]]): the fitted model and the query's branch
-  * multiset are broadcast; a UDF computes `(φ, Φ)` per row with
-  * [[Gbda.score]] — `φ = GBD(Q,G)` (two-pointer, O(nd)) and Φ by table
-  * lookup — then filters `Φ ≥ γ`. One query is one Spark job.
+  * Online stage ([[search]]): the projection `(gid, nv, branches)` of a
+  * database DataFrame is planned once and reused by every query on it. A
+  * query is one `runJob` over that plan whose closure carries the model and
+  * the query's branch multiset; each row is scored by [[Gbda.score]] —
+  * `φ = GBD(Q,G)` (two-pointer, O(nd)) and Φ by table lookup — and kept if
+  * `Φ ≥ γ`.
   */
 object GbdaSearch {
 
@@ -79,22 +86,44 @@ object GbdaSearch {
     Gmm.fit(gbds, GmmComponents)
   }
 
+  /** The pruned projection of each database DataFrame, planned at its first
+    * search. Keys are compared by identity and held weakly, so a DataFrame
+    * that is no longer referenced drops its plan.
+    */
+  private val planned = Collections.synchronizedMap(new WeakHashMap[DataFrame, RDD[Row]]())
+
+  /** The projection `(gid, nv, branches)` of `graphs` as an RDD, planned
+    * by the first call for a DataFrame and the same object on every later one.
+    */
+  private[spark] def plan(graphs: DataFrame): RDD[Row] =
+    planned.computeIfAbsent(graphs, (g: DataFrame) => g.select("gid", "nv", "branches").rdd)
+
+  private val hitSchema = StructType(Seq(
+    StructField("gid", LongType, nullable = false),
+    StructField("gbd", IntegerType, nullable = false),
+    StructField("phi", DoubleType, nullable = false)))
+
   /** Online stage for one query: returns `(gid, gbd, phi)` rows with
     * `Φ ≥ γ` (Steps 2–4 of Algorithm 1). Φ lies in [0, 1], so `γ = 0`
     * scores every graph.
+    *
+    * The search is eager: it runs exactly one Spark job and returns its
+    * hits as a local DataFrame, whose actions start no further job. The
+    * first search on `graphs` plans its projection, so cache `graphs` before
+    * it; later searches reuse that plan. A DataFrame unpersisted after its
+    * first search is still answered correctly, by recompute from its
+    * lineage.
     */
   def search(graphs: DataFrame, model: GbdaModel, query: LabeledGraph, gamma: Double): DataFrame = {
     // fitModel tabulates every |V_G|, so v = max(|V_Q|, |V_G|) can only be
     // missing when it is |V_Q|; any other gap is tabulated per lookup.
-    val bcModel = graphs.sparkSession.sparkContext.broadcast(model.ensureVs(Seq(query.n.toLong)))
-    val qb = query.branches
-    val qn = query.n
-    val scoreUdf = udf { (branches: Seq[String], nv: Int) =>
-      Gbda.score(nv, branches.toArray, qn, qb, bcModel.value)
-    }
-    graphs
-      .select(col("gid"), scoreUdf(col("branches"), col("nv")).as("s"))
-      .select(col("gid"), col("s._1").as("gbd"), col("s._2").as("phi"))
-      .filter(col("phi") >= gamma)
+    val m = model.ensureVs(Seq(query.n.toLong))
+    val (qn, qb) = (query.n, query.branches)
+    val hits = graphs.sparkSession.sparkContext.runJob(plan(graphs), (it: Iterator[Row]) =>
+      it.flatMap { r =>
+        val (gbd, phi) = Gbda.score(r.getInt(1), r.getSeq[String](2).toArray, qn, qb, m)
+        if (phi >= gamma) Some(Row(r.getLong(0), gbd, phi)) else None
+      }.toArray)
+    graphs.sparkSession.createDataFrame(hits.iterator.flatten.toSeq.asJava, hitSchema)
   }
 }

@@ -1,5 +1,7 @@
 package repro
 
+import org.scalacheck.Gen
+
 import repro.graphs.{Edge, LabeledGraph}
 
 /** The running example of the paper (Figure 1), used as ground truth across
@@ -29,5 +31,26 @@ object TestGraphs {
     } yield Edge(i, j, s"e${rng.nextInt(nEL)}")
     // offset ids so fixtures never collide with g1/g2 in mixed databases
     LabeledGraph(100000L + seed, labels, edges.toArray)
+  }
+
+  /** Labels a separator, an escape or a sentinel could confuse: the empty
+    * label, NUL, the branch separators `|` and `,`, the escape `\`, the
+    * empty label's escape token `\0`, and a character outside the BMP.
+    */
+  val adversarialLabels: Seq[String] = Seq("", "\u0000", "|", ",", "\\", "\\0", "\uD83D\uDE00")
+
+  /** A graph of `minN` to `maxN` vertices with vertex and edge labels drawn
+    * from [[adversarialLabels]]; each vertex pair is joined with probability
+    * 1/2, so isolated vertices and empty edge sets occur.
+    */
+  def adversarialGraph(id: Long, minN: Int, maxN: Int): Gen[LabeledGraph] = {
+    val label = Gen.oneOf(adversarialLabels)
+    for {
+      n <- Gen.choose(minN, maxN)
+      vlabels <- Gen.listOfN(n, label)
+      pairs = for (i <- 0 until n; j <- i + 1 until n) yield (i, j)
+      elabels <- Gen.listOfN(pairs.size, Gen.oneOf(Gen.const(None), Gen.some(label)))
+    } yield LabeledGraph(id, vlabels.toArray,
+      pairs.zip(elabels).collect { case ((i, j), Some(l)) => Edge(i, j, l) }.toArray)
   }
 }

@@ -1,8 +1,12 @@
 package repro.ged
 
+import org.scalacheck.{Prop, Test}
+import org.scalacheck.Prop.propBoolean
+import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
 
-import repro.TestGraphs.{g1, g2, randomSmall}
+import repro.TestGraphs.{adversarialGraph, g1, g2, randomSmall}
+import repro.baselines.{BipartiteGed, GreedyGed}
 import repro.graphs.{Edge, LabeledGraph}
 
 class ExactGedSpec extends AnyFunSuite {
@@ -92,5 +96,36 @@ class ExactGedSpec extends AnyFunSuite {
     val small = LabeledGraph(1, Array("A"), Array.empty[Edge])
     val large = LabeledGraph(2, Array("A", "B", "C"), Array.empty[Edge])
     assert(ExactGed.compute(small, large) == 2)
+  }
+
+  // "\u0000" is a legal label and must not be taken for the padding ε.
+  test("a vertex labelled U+0000 against the empty graph has GED 1") {
+    val oneNul = LabeledGraph(1, Array("\u0000"), Array.empty[Edge])
+    val empty = LabeledGraph(2, Array.empty[String], Array.empty[Edge])
+    assert(ExactGed.compute(oneNul, empty) == 1)
+    assert(ExactGed.reference(oneNul, empty) == 1)
+  }
+
+  test("an edge labelled U+0000 against the same vertices with no edge has GED 1") {
+    val joined = LabeledGraph(1, Array("x", "x"), Array(Edge(0, 1, "\u0000")))
+    val apart = LabeledGraph(2, Array("x", "x"), Array.empty[Edge])
+    assert(ExactGed.compute(joined, apart) == 1)
+    assert(ExactGed.reference(joined, apart) == 1)
+  }
+
+  test("adversarial labels: exact GED lies between the label and GBD bounds and the LSAP and Greedy estimates") {
+    val pairs = for (a <- adversarialGraph(1, 0, 5); b <- adversarialGraph(2, 0, 5)) yield (a, b)
+    val prop = Prop.forAllNoShrink(pairs) { case (a, b) =>
+      val ged = ExactGed.compute(a, b)
+      val gbd = LabeledGraph.gbd(a, b)
+      Prop.all(
+        (ged == ExactGed.reference(a, b)) :| "branch-and-bound = brute force",
+        (GedBounds.labelLowerBound(a, b) <= ged) :| "label bound <= GED",
+        (math.abs(a.n - b.n) <= gbd && gbd <= 2 * ged) :| "|n1 - n2| <= GBD <= 2 GED",
+        (ged <= BipartiteGed.estimateHungarian(a, b)) :| "GED <= LSAP",
+        (ged <= GreedyGed.estimate(a, b)) :| "GED <= Greedy-Sort-GED")
+    }
+    val result = Test.check(Test.Parameters.default.withMinSuccessfulTests(300).withInitialSeed(Seed(17L)), prop)
+    assert(result.passed, result.status)
   }
 }

@@ -1,9 +1,12 @@
 package repro.spark
 
 import org.apache.spark.sql.DataFrame
+import org.scalacheck.Gen
+import org.scalacheck.rng.Seed
 
 import repro.{Oracle, SparkSpec}
-import repro.TestGraphs.{g1, g2, randomSmall}
+import repro.TestGraphs.{adversarialGraph, g1, g2, randomSmall}
+import repro.core.Gbda
 import repro.graphs.{Edge, GraphGen, LabeledGraph}
 
 class GbdSparkSpec extends SparkSpec {
@@ -74,6 +77,41 @@ class GbdSparkSpec extends SparkSpec {
     sepDb.foreach(g => assert(join(g.id) == LabeledGraph.gbd(q, g), s"gid=${g.id}"))
     assertJoinMatchesDuckDb(df, q)
   }
+
+  /** A database of 4–8 adversarially labelled graphs with ids 0 until k, and
+    * two queries: a fresh graph and a copy of a database graph.
+    */
+  private val adversarialCase: Gen[(Seq[LabeledGraph], Seq[LabeledGraph])] = for {
+    k <- Gen.choose(4, 8)
+    graphs <- Gen.listOfN(k, adversarialGraph(0, 1, 5))
+    db = graphs.zipWithIndex.map { case (g, i) => g.copy(id = i.toLong) }
+    fresh <- adversarialGraph(100, 1, 5)
+    copied <- Gen.oneOf(db)
+  } yield (db, Seq(fresh, copied.copy(id = 101)))
+
+  for (seed <- 1 to 4)
+    test(s"adversarial labels: served search = Gbda.search = gbdVsAllJoin = DuckDB (seed=$seed)") {
+      val (advDb, queries) = adversarialCase.pureApply(Gen.Parameters.default, Seed(seed.toLong))
+      val df = GraphFrames.toBranchDf(spark, advDb).cache()
+      val model = GbdaSearch.fitModel(df, tauHat = 2, nPairs = 30, seed = seed.toLong)
+      val nv = advDb.map(g => g.id -> g.n).toMap
+      for (q <- queries) {
+        assertJoinMatchesDuckDb(df, q)
+        val join = GbdSpark.gbdVsAllJoin(df, q).collect().map(r => r.getLong(0) -> r.getInt(1))
+        for (gamma <- Seq(0.0, 0.5, 0.9)) {
+          val served = GbdaSearch.search(df, model, q, gamma).collect()
+            .map(r => r.getLong(0) -> r.getInt(1)).toSet
+          val ref = Gbda.search(advDb.map(g => (g.id, g.n, g.branches)), q.n, q.branches, model, gamma)
+            .map(t => t._1 -> t._2).toSet
+          val viaJoin = join.filter { case (gid, gbd) =>
+            Gbda.phi(gbd, math.max(nv(gid), q.n).toLong, model) >= gamma
+          }.toSet
+          assert(served == ref, s"query=${q.id} gamma=$gamma")
+          assert(viaJoin == ref, s"query=${q.id} gamma=$gamma")
+        }
+      }
+      df.unpersist()
+    }
 
   test("pairwiseGbd matches the in-memory GBD on an explicit pair list") {
     import spark.implicits._

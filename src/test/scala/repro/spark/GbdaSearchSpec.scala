@@ -1,9 +1,14 @@
 package repro.spark
 
+import java.util.concurrent.{Executors, TimeUnit}
+
+import org.apache.spark.SparkEnv
+import org.apache.spark.sql.DataFrame
 import org.scalatest.concurrent.Eventually._
 import org.scalatest.time.{Seconds, Span}
 
 import repro.SparkSpec
+import repro.TestGraphs.randomSmall
 import repro.core.Gbda
 import repro.graphs.{Edge, GraphGen, LabeledGraph}
 
@@ -60,6 +65,22 @@ class GbdaSearchSpec extends SparkSpec {
     assert(mass > 0.8, s"mass=$mass") // most mass on the feasible range
   }
 
+  /** The served answer as `gid → (gbd, Φ)`. */
+  private def served(df: DataFrame, q: LabeledGraph, gamma: Double): Map[Long, (Int, Double)] =
+    GbdaSearch.search(df, model, q, gamma).collect()
+      .map(r => r.getLong(0) -> (r.getInt(1), r.getDouble(2))).toMap
+
+  private def assertServedEqualsReference(df: DataFrame, q: LabeledGraph, gamma: Double): Unit = {
+    val ref = Gbda.search(db.map(g => (g.id, g.n, g.branches)), q.n, q.branches, model, gamma)
+      .map(t => t._1 -> (t._2, t._3)).toMap
+    val got = served(df, q, gamma)
+    assert(got.keySet == ref.keySet, s"query=${q.id} gamma=$gamma")
+    got.foreach { case (gid, (gbd, phi)) =>
+      assert(gbd == ref(gid)._1, s"query=${q.id} gamma=$gamma gid=$gid")
+      assert(math.abs(phi - ref(gid)._2) < 1e-9, s"query=${q.id} gamma=$gamma gid=$gid")
+    }
+  }
+
   test("distributed search equals the driver-side reference (all gammas)") {
     // db(5) plus a two-vertex tail: a size no database graph has, so it is
     // missing from the fitted prior table.
@@ -67,16 +88,40 @@ class GbdaSearchSpec extends SparkSpec {
     val grown = LabeledGraph(6000L, base.vertexLabels ++ Array("A", "B"),
       base.edges ++ Array(Edge(0, base.n, "x"), Edge(base.n, base.n + 1, "y")))
     assert(!model.gedPrior.contains(grown.n.toLong))
-    for (q <- Seq(base, grown); gamma <- Seq(0.0, 0.3, 0.6, 0.9)) {
-      val ref = Gbda.search(db.map(g => (g.id, g.n, g.branches)), q.n, q.branches, model, gamma)
-        .map(t => t._1 -> (t._2, t._3)).toMap
-      val served = GbdaSearch.search(dbDf, model, q, gamma).collect()
-        .map(r => r.getLong(0) -> (r.getInt(1), r.getDouble(2))).toMap
-      assert(served.keySet == ref.keySet, s"query=${q.id} gamma=$gamma")
-      served.foreach { case (gid, (gbd, phi)) =>
-        assert(gbd == ref(gid)._1, s"query=${q.id} gamma=$gamma gid=$gid")
-        assert(math.abs(phi - ref(gid)._2) < 1e-9, s"query=${q.id} gamma=$gamma gid=$gid")
-      }
+    for (q <- Seq(base, grown); gamma <- Seq(0.0, 0.3, 0.6, 0.9))
+      assertServedEqualsReference(dbDf, q, gamma)
+  }
+
+  test("search still equals the driver-side reference after the DataFrame is unpersisted") {
+    val df = GraphFrames.toBranchDf(spark, db).cache()
+    assertServedEqualsReference(df, db(9), 0.5)
+    df.unpersist(blocking = true)
+    for (gamma <- Seq(0.0, 0.5, 0.9)) assertServedEqualsReference(df, db(9), gamma)
+  }
+
+  test("4 threads searching one DataFrame at once get the sequential answers") {
+    val queries = db.indices.by(4).map(db)
+    val sequential = queries.map(q => served(dbDf, q, 0.5))
+    // A fresh DataFrame, so its first plan is also made under contention.
+    val df = GraphFrames.toBranchDf(spark, db).cache()
+    val pool = Executors.newFixedThreadPool(4)
+    try {
+      val answers = Seq.fill(4)(pool.submit(() => queries.map(q => served(df, q, 0.5))))
+      answers.foreach(a => assert(a.get(120, TimeUnit.SECONDS) == sequential))
+    } finally {
+      pool.shutdown()
+      df.unpersist()
+    }
+  }
+
+  test("partition objects of the branch DataFrame and of the planned search serialize to under 2 KiB") {
+    val ser = SparkEnv.get.closureSerializer.newInstance()
+    for (size <- Seq(10, 4000)) {
+      val df = GraphFrames.toBranchDf(spark, (1 to size).map(s => randomSmall(s, 8))).cache()
+      for ((what, rdd) <- Seq("branch DataFrame" -> df.rdd, "planned search" -> GbdaSearch.plan(df));
+           p <- rdd.partitions)
+        assert(ser.serialize(p).remaining < 2048, s"$what, |D|=$size, partition ${p.index}")
+      df.unpersist()
     }
   }
 
