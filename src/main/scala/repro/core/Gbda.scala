@@ -38,9 +38,9 @@ final case class GbdaModel(
     copy(gedPrior = gedPrior ++ rows.map { case (v, (f, _)) => v -> f },
       phiTable = phiTable ++ rows.map { case (v, (_, phi)) => v -> phi })
 
-  /** Copy with rows for every v in `vs`. */
+  /** Copy with rows for every v in `vs`; v = 0 needs none (see [[Gbda.phi]]). */
   def ensureVs(vs: Seq[Long]): GbdaModel = {
-    val missing = vs.distinct.filterNot(phiTable.contains)
+    val missing = vs.distinct.filter(v => v > 0 && !phiTable.contains(v))
     if (missing.isEmpty) this else withRows(missing.map(v => v -> tabulate(v)))
   }
 
@@ -67,14 +67,16 @@ object GbdaModel {
 object Gbda {
 
   /** Φ = Pr[GED(Q,G) ≤ τ̂ | GBD(Q,G) = φ] (Eq. 3), looked up in the
-    * model's table; 0 for φ > 2τ̂ (Λ₁ vanishes there). A size missing from
-    * the table is tabulated for this call only.
+    * model's table; 0 for φ > 2τ̂ (Λ₁ vanishes there), and 1 for v = 0: two
+    * empty graphs have GED = GBD = 0 ≤ τ̂. A size missing from the table is
+    * tabulated for this call only.
     *
     * @param v extended size |V₁'| = max(|V_Q|, |V_G|) of the pair
     */
   def phi(gbd: Int, v: Long, model: GbdaModel): Double = {
     require(gbd >= 0, s"GBD must be non-negative, got $gbd")
     if (gbd > 2L * model.tauHat) 0.0
+    else if (v == 0) 1.0
     else model.phiTable.getOrElse(v, model.tabulate(v)._2)(gbd)
   }
 

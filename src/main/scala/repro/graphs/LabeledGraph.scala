@@ -65,6 +65,13 @@ object LabeledGraph {
     sigs
   }
 
+  /** `(|L_V|, |L_E|)`: the distinct vertex and edge labels of a database,
+    * each at least 1 (the alphabet sizes that enter D, Eq. 13).
+    */
+  def alphabetSizes(graphs: Seq[LabeledGraph]): (Int, Int) =
+    (math.max(1, graphs.flatMap(_.vertexLabels).distinct.size),
+      math.max(1, graphs.flatMap(_.edges.map(_.label)).distinct.size))
+
   /** GBD(G₁,G₂) = max(|V₁|,|V₂|) − |B₁ ∩ B₂| (Def. 4). */
   def gbd(g1: LabeledGraph, g2: LabeledGraph): Int =
     GbdaOps.gbdFromSortedBranches(g1.branches, g2.branches)

@@ -100,7 +100,8 @@ object Efficiency {
 
       // Minimal GBDA model: GMM over the family GBDs + the F and Φ rows at v=n.
       val gbds = samplePairs.map { case (a, b) => LabeledGraph.gbd(a, b).toDouble }
-      val model = GbdaModel(tauHat, 10, 16, Gmm.fit(gbds.toArray, k = 1)).ensureVs(Seq(n.toLong))
+      val (nVL, nEL) = LabeledGraph.alphabetSizes(gs)
+      val model = GbdaModel(tauHat, nVL, nEL, Gmm.fit(gbds.toArray, k = 1)).ensureVs(Seq(n.toLong))
 
       val reps = if (n <= 500) 3 else 1
       def time(method: String, maxN: Int)(f: (LabeledGraph, LabeledGraph) => Unit): SynRow =

@@ -10,8 +10,9 @@ import repro.graphs.LabeledGraph
   *
   *   - [[gbdVsAllJoin]]: a pure-Catalyst path over exploded branch counts
   *     (explode → groupBy → broadcast join → Σ min(cnt, qcnt)). It is
-  *     SQL-expressible, so [[repro.Oracle]] cross-checks it against DuckDB,
-  *     and the served search ([[GbdaSearch.search]]) is checked against it.
+  *     SQL-expressible, so the test suite checks it against DuckDB
+  *     (`repro.Oracle`), and the served search ([[GbdaSearch.search]]) is
+  *     checked against it.
   *   - [[pairwiseGbd]]: the two-pointer kernel (the O(nd) algorithm of
   *     Section 3) over an explicit pair list, for the offline GBD prior.
   */

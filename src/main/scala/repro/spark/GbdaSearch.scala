@@ -1,10 +1,6 @@
 package repro.spark
 
-import java.util.{Collections, WeakHashMap}
-
-import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Row}
-import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
 
 import repro.core._
@@ -21,12 +17,11 @@ import scala.util.Random
   * `F(τ,v)` (Eq. 16) and the posterior `Φ(φ,v)` (Eq. 3) as Spark tasks —
   * mirroring the paper's fully parallel offline processes (Section 7.2).
   *
-  * Online stage ([[search]]): the projection `(gid, nv, branches)` of a
-  * database DataFrame is planned once and reused by every query on it. A
-  * query is one `runJob` over that plan whose closure carries the model and
-  * the query's branch multiset; each row is scored by [[Gbda.score]] —
-  * `φ = GBD(Q,G)` (two-pointer, O(nd)) and Φ by table lookup — and kept if
-  * `Φ ≥ γ`.
+  * Online stage ([[search]]): a query is one `runJob` over the rows
+  * `(gid, nv, branches)` of the database DataFrame, whose closure carries
+  * the model and the query's branch multiset; each row is scored by
+  * [[Gbda.score]] — `φ = GBD(Q,G)` (two-pointer, O(nd)) and Φ by table
+  * lookup — and kept if `Φ ≥ γ`.
   */
 object GbdaSearch {
 
@@ -46,21 +41,18 @@ object GbdaSearch {
       nPairs: Int,
       seed: Long = 7,
       extraVs: Seq[Long] = Nil): GbdaModel = {
-    val spark = graphs.sparkSession
+    val sc = graphs.sparkSession.sparkContext
+    val (nVL, nEL) = GraphFrames.alphabetSizes(graphs)
     val ids = graphs.select("gid", "nv").collect().map(r => (r.getLong(0), r.getInt(1)))
 
     val gmm = fitGbdPrior(graphs, ids.map(_._1), nPairs, seed)
 
-    // Alphabet sizes |L_V|, |L_E| enter D (Eq. 13).
-    val nVL = math.max(1L, graphs.select(explode(col("vlabels"))).distinct().count()).toInt
-    val nEL = math.max(1L,
-      graphs.select(explode(col("edges")).as("e")).select(col("e.label")).distinct().count()).toInt
-
-    // F and Φ rows per distinct extended size, one Spark task per v.
+    // F and Φ rows per distinct extended size, one Spark task per v; v = 0
+    // (two empty graphs) needs no row, as Φ is 1 there.
     val unfitted = GbdaModel(tauHat, nVL, nEL, gmm)
-    val vs = (ids.map(_._2.toLong) ++ extraVs).distinct.toSeq
-    unfitted.withRows(spark.sparkContext
-      .parallelize(vs, math.min(vs.size, spark.sparkContext.defaultParallelism))
+    val vs = (ids.map(_._2.toLong) ++ extraVs).distinct.filter(_ > 0).toSeq
+    unfitted.withRows(sc
+      .parallelize(vs, math.max(1, math.min(vs.size, sc.defaultParallelism)))
       .map(v => (v, unfitted.tabulate(v)))
       .collect())
   }
@@ -86,18 +78,6 @@ object GbdaSearch {
     Gmm.fit(gbds, GmmComponents)
   }
 
-  /** The pruned projection of each database DataFrame, planned at its first
-    * search. Keys are compared by identity and held weakly, so a DataFrame
-    * that is no longer referenced drops its plan.
-    */
-  private val planned = Collections.synchronizedMap(new WeakHashMap[DataFrame, RDD[Row]]())
-
-  /** The projection `(gid, nv, branches)` of `graphs` as an RDD, planned
-    * by the first call for a DataFrame and the same object on every later one.
-    */
-  private[spark] def plan(graphs: DataFrame): RDD[Row] =
-    planned.computeIfAbsent(graphs, (g: DataFrame) => g.select("gid", "nv", "branches").rdd)
-
   private val hitSchema = StructType(Seq(
     StructField("gid", LongType, nullable = false),
     StructField("gbd", IntegerType, nullable = false),
@@ -109,17 +89,20 @@ object GbdaSearch {
     *
     * The search is eager: it runs exactly one Spark job and returns its
     * hits as a local DataFrame, whose actions start no further job. The
-    * first search on `graphs` plans its projection, so cache `graphs` before
-    * it; later searches reuse that plan. A DataFrame unpersisted after its
+    * job runs over `graphs.rdd`, which Spark plans at its first use and
+    * keeps with the DataFrame, so cache `graphs` before the first search;
+    * later searches reuse that plan. A DataFrame unpersisted after its
     * first search is still answered correctly, by recompute from its
     * lineage.
+    *
+    * @param graphs branch DataFrame from [[GraphFrames.toBranchDf]]
     */
   def search(graphs: DataFrame, model: GbdaModel, query: LabeledGraph, gamma: Double): DataFrame = {
     // fitModel tabulates every |V_G|, so v = max(|V_Q|, |V_G|) can only be
     // missing when it is |V_Q|; any other gap is tabulated per lookup.
     val m = model.ensureVs(Seq(query.n.toLong))
     val (qn, qb) = (query.n, query.branches)
-    val hits = graphs.sparkSession.sparkContext.runJob(plan(graphs), (it: Iterator[Row]) =>
+    val hits = graphs.sparkSession.sparkContext.runJob(graphs.rdd, (it: Iterator[Row]) =>
       it.flatMap { r =>
         val (gbd, phi) = Gbda.score(r.getInt(1), r.getSeq[String](2).toArray, qn, qb, m)
         if (phi >= gamma) Some(Row(r.getLong(0), gbd, phi)) else None

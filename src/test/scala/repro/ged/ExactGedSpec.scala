@@ -122,6 +122,8 @@ class ExactGedSpec extends AnyFunSuite {
         (ged == ExactGed.reference(a, b)) :| "branch-and-bound = brute force",
         (GedBounds.labelLowerBound(a, b) <= ged) :| "label bound <= GED",
         (math.abs(a.n - b.n) <= gbd && gbd <= 2 * ged) :| "|n1 - n2| <= GBD <= 2 GED",
+        (gbd == LabeledGraph.gbd(b, a)) :| "GBD(a, b) = GBD(b, a)",
+        (LabeledGraph.gbd(a, a) == 0) :| "GBD(a, a) = 0",
         (ged <= BipartiteGed.estimateHungarian(a, b)) :| "GED <= LSAP",
         (ged <= GreedyGed.estimate(a, b)) :| "GED <= Greedy-Sort-GED")
     }

@@ -78,14 +78,14 @@ class GbdSparkSpec extends SparkSpec {
     assertJoinMatchesDuckDb(df, q)
   }
 
-  /** A database of 4–8 adversarially labelled graphs with ids 0 until k, and
-    * two queries: a fresh graph and a copy of a database graph.
+  /** A database of 4–8 adversarially labelled graphs of 0–5 vertices with ids
+    * 0 until k, and two queries: a fresh graph and a copy of a database graph.
     */
   private val adversarialCase: Gen[(Seq[LabeledGraph], Seq[LabeledGraph])] = for {
     k <- Gen.choose(4, 8)
-    graphs <- Gen.listOfN(k, adversarialGraph(0, 1, 5))
+    graphs <- Gen.listOfN(k, adversarialGraph(0, 0, 5))
     db = graphs.zipWithIndex.map { case (g, i) => g.copy(id = i.toLong) }
-    fresh <- adversarialGraph(100, 1, 5)
+    fresh <- adversarialGraph(100, 0, 5)
     copied <- Gen.oneOf(db)
   } yield (db, Seq(fresh, copied.copy(id = 101)))
 
@@ -94,6 +94,9 @@ class GbdSparkSpec extends SparkSpec {
       val (advDb, queries) = adversarialCase.pureApply(Gen.Parameters.default, Seed(seed.toLong))
       val df = GraphFrames.toBranchDf(spark, advDb).cache()
       val model = GbdaSearch.fitModel(df, tauHat = 2, nPairs = 30, seed = seed.toLong)
+      // "" and U+0000 are labels like any other; an alphabet holds at least one.
+      assert(model.nVertexLabels == math.max(1, advDb.flatMap(_.vertexLabels).toSet.size))
+      assert(model.nEdgeLabels == math.max(1, advDb.flatMap(_.edges.map(_.label)).toSet.size))
       val nv = advDb.map(g => g.id -> g.n).toMap
       for (q <- queries) {
         assertJoinMatchesDuckDb(df, q)

@@ -9,7 +9,7 @@ import org.scalatest.time.{Seconds, Span}
 
 import repro.SparkSpec
 import repro.TestGraphs.randomSmall
-import repro.core.Gbda
+import repro.core.{Gbda, GbdaModel}
 import repro.graphs.{Edge, GraphGen, LabeledGraph}
 
 class GbdaSearchSpec extends SparkSpec {
@@ -66,14 +66,16 @@ class GbdaSearchSpec extends SparkSpec {
   }
 
   /** The served answer as `gid → (gbd, Φ)`. */
-  private def served(df: DataFrame, q: LabeledGraph, gamma: Double): Map[Long, (Int, Double)] =
-    GbdaSearch.search(df, model, q, gamma).collect()
+  private def served(df: DataFrame, q: LabeledGraph, gamma: Double, m: GbdaModel = model): Map[Long, (Int, Double)] =
+    GbdaSearch.search(df, m, q, gamma).collect()
       .map(r => r.getLong(0) -> (r.getInt(1), r.getDouble(2))).toMap
 
-  private def assertServedEqualsReference(df: DataFrame, q: LabeledGraph, gamma: Double): Unit = {
-    val ref = Gbda.search(db.map(g => (g.id, g.n, g.branches)), q.n, q.branches, model, gamma)
+  /** Asserts the served answer on `df`, the encoding of `graphs`, equals `Gbda.search`'s. */
+  private def assertServedEqualsReference(df: DataFrame, q: LabeledGraph, gamma: Double,
+      graphs: Seq[LabeledGraph] = db, m: GbdaModel = model): Unit = {
+    val ref = Gbda.search(graphs.map(g => (g.id, g.n, g.branches)), q.n, q.branches, m, gamma)
       .map(t => t._1 -> (t._2, t._3)).toMap
-    val got = served(df, q, gamma)
+    val got = served(df, q, gamma, m)
     assert(got.keySet == ref.keySet, s"query=${q.id} gamma=$gamma")
     got.foreach { case (gid, (gbd, phi)) =>
       assert(gbd == ref(gid)._1, s"query=${q.id} gamma=$gamma gid=$gid")
@@ -99,10 +101,31 @@ class GbdaSearchSpec extends SparkSpec {
     for (gamma <- Seq(0.0, 0.5, 0.9)) assertServedEqualsReference(df, db(9), gamma)
   }
 
+  test("an empty query and a database holding empty graphs are fitted and searched, with Phi 1 between empty graphs") {
+    val empty = LabeledGraph(7000L, Array.empty[String], Array.empty[Edge])
+    val q = empty.copy(id = 7001L)
+    val withEmpty = db :+ empty
+    val df = GraphFrames.toBranchDf(spark, withEmpty).cache()
+    val m = GbdaSearch.fitModel(df, tauHat = 3, nPairs = 300, seed = 5)
+    assert(Gbda.phi(0, 0L, m) == 1.0)
+    val ref = Gbda.search(withEmpty.map(g => (g.id, g.n, g.branches)), 0, Array.empty, m, 0.9)
+    assert(ref == Seq((7000L, 0, 1.0)))
+    for (query <- Seq(q, db(2)); gamma <- Seq(0.0, 0.5, 0.9))
+      assertServedEqualsReference(df, query, gamma, withEmpty, m)
+    df.unpersist()
+    // A database of empty graphs only: every size is 0, so no row is tabulated.
+    val empties = Seq(empty, empty.copy(id = 7002L))
+    val emptyDf = GraphFrames.toBranchDf(spark, empties).cache()
+    val em = GbdaSearch.fitModel(emptyDf, tauHat = 3, nPairs = 10)
+    assert(em.phiTable.isEmpty)
+    assert(served(emptyDf, q, 0.9, em) == Map(7000L -> (0, 1.0), 7002L -> (0, 1.0)))
+    emptyDf.unpersist()
+  }
+
   test("4 threads searching one DataFrame at once get the sequential answers") {
     val queries = db.indices.by(4).map(db)
     val sequential = queries.map(q => served(dbDf, q, 0.5))
-    // A fresh DataFrame, so its first plan is also made under contention.
+    // A fresh DataFrame, so its first planning of `rdd` is also under contention.
     val df = GraphFrames.toBranchDf(spark, db).cache()
     val pool = Executors.newFixedThreadPool(4)
     try {
@@ -118,9 +141,9 @@ class GbdaSearchSpec extends SparkSpec {
     val ser = SparkEnv.get.closureSerializer.newInstance()
     for (size <- Seq(10, 4000)) {
       val df = GraphFrames.toBranchDf(spark, (1 to size).map(s => randomSmall(s, 8))).cache()
-      for ((what, rdd) <- Seq("branch DataFrame" -> df.rdd, "planned search" -> GbdaSearch.plan(df));
-           p <- rdd.partitions)
-        assert(ser.serialize(p).remaining < 2048, s"$what, |D|=$size, partition ${p.index}")
+      // df.rdd is also the RDD every search on df runs over.
+      for (p <- df.rdd.partitions)
+        assert(ser.serialize(p).remaining < 2048, s"|D|=$size, partition ${p.index}")
       df.unpersist()
     }
   }

@@ -1,28 +1,26 @@
 package repro.spark
 
-import org.apache.spark.sql.Row
+import org.apache.spark.sql.functions.col
+import org.apache.spark.sql.types.Metadata
 
 import repro.SparkSpec
 import repro.TestGraphs.{g1, g2, randomSmall}
-import repro.graphs.{Edge, LabeledGraph}
+import repro.graphs.LabeledGraph
 
 class GraphFramesSpec extends SparkSpec {
 
   private lazy val graphs = Seq(g1, g2) ++ (1 to 8).map(s => randomSmall(s + 10, 4 + s % 4))
 
-  test("toBranchDf preserves ids, sizes, labels and edges") {
-    val rows = GraphFrames.toBranchDf(spark, graphs).select("gid", "nv", "vlabels", "edges").collect()
-      .map(r => r.getLong(0) -> r).toMap
+  test("toBranchDf holds exactly gid, nv and branches, with every graph's id and size") {
+    val df = GraphFrames.toBranchDf(spark, graphs)
+    assert(df.columns.toSeq == Seq("gid", "nv", "branches"))
+    val rows = df.collect().map(r => r.getLong(0) -> r.getInt(1)).toMap
     assert(rows.size == graphs.size)
-    graphs.foreach { g =>
-      val r = rows(g.id)
-      assert(r.getInt(1) == g.n, s"gid=${g.id}")
-      assert(r.getSeq[String](2) == g.vertexLabels.toSeq, s"gid=${g.id}")
-      assert(r.getSeq[Row](3).map(e => Edge(e.getInt(0), e.getInt(1), e.getString(2))) == g.edges.toSeq,
-        s"gid=${g.id}")
-    }
+    graphs.foreach(g => assert(rows(g.id) == g.n, s"gid=${g.id}"))
   }
 
+  // The branches are now extracted on the executors inside toBranchDf; the
+  // test keeps its original name.
   test("withBranches UDF equals the in-memory branch extraction") {
     val df = GraphFrames.toBranchDf(spark, graphs)
     val rows = df.select("gid", "branches").collect()
@@ -30,6 +28,14 @@ class GraphFramesSpec extends SparkSpec {
     graphs.foreach { g =>
       assert(rows(g.id) == g.branches.toSeq, s"gid=${g.id}")
     }
+  }
+
+  test("alphabetSizes rejects a DataFrame whose branches field has no alphabet metadata") {
+    val df = GraphFrames.toBranchDf(spark, graphs)
+    assert(GraphFrames.alphabetSizes(df) == LabeledGraph.alphabetSizes(graphs))
+    val bare = df.select(col("gid"), col("nv"), col("branches").as("branches", Metadata.empty))
+    val e = intercept[IllegalArgumentException](GraphFrames.alphabetSizes(bare))
+    assert(e.getMessage.contains("toBranchDf"))
   }
 
   test("branch column is sorted ascending (canonical multiset order)") {
@@ -64,8 +70,9 @@ class GraphFramesSpec extends SparkSpec {
 
   test("empty edge list and single-vertex graphs survive the codec") {
     val tiny = LabeledGraph(77L, Array("X"), Array.empty)
-    val r = GraphFrames.toBranchDf(spark, Seq(tiny)).select("gid", "nv", "vlabels", "edges", "branches").head()
-    assert(r.getLong(0) == 77L && r.getInt(1) == 1 && r.getSeq[String](2) == Seq("X"))
-    assert(r.getSeq[Row](3).isEmpty && r.getSeq[String](4) == Seq("X|"))
+    val empty = LabeledGraph(78L, Array.empty, Array.empty)
+    val rows = GraphFrames.toBranchDf(spark, Seq(tiny, empty)).collect()
+      .map(r => (r.getLong(0), r.getInt(1), r.getSeq[String](2)))
+    assert(rows.toSeq == Seq((77L, 1, Seq("X|")), (78L, 0, Seq.empty)))
   }
 }
