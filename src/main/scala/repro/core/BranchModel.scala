@@ -40,35 +40,52 @@ object BranchModel {
 
   /** Ω₁(x,τ) = Pr[X=x | GED=τ] = H(x; v + C(v,2), v, τ) — Lemma 1:
     * probability that a random minimal edit sequence relabels exactly `x`
-    * vertices (and τ−x edges).
+    * vertices (and τ−x edges) — and its τ-derivative, exact for the
+    * Γ-continued form: ∂Ω₁ = Ω₁·[ψ(τ+1) − ψ(τ−x+1) + ψ(E−τ+x+1) − ψ(v+E−τ+1)].
     */
-  def omega1(x: Int, tau: Int, p: ModelParams): Double =
-    hyper(x.toDouble, p.v + p.e, p.v.toDouble, tau.toDouble)
+  def omega1(x: Int, tau: Int, p: ModelParams): (Double, Double) = {
+    val o1 = hyper(x.toDouble, p.v + p.e, p.v.toDouble, tau.toDouble)
+    if (o1 == 0.0) (0.0, 0.0)
+    else {
+      val xp = tau - x
+      val g = digamma(tau + 1.0) - digamma(xp + 1.0) +
+        digamma(p.e - xp + 1.0) - digamma(p.v + p.e - tau + 1.0)
+      (o1, o1 * g)
+    }
+  }
 
   /** Ω₂(m,x,τ) = Pr[Z=m | Y=τ−x] — Lemma 2: probability that τ−x randomly
     * chosen distinct edges of the complete extended graph cover exactly `m`
-    * vertices. Inclusion–exclusion inner sum is evaluated in linear space
-    * (magnitudes are bounded for m ≤ 2τ̂; see DESIGN.md §5), then scaled by
-    * exp(logC(v,m) − logC(E,τ−x)).
+    * vertices — and its τ-derivative, from one pass over the
+    * inclusion–exclusion terms t ∈ [0, m]. Each sum is evaluated in linear
+    * space (magnitudes are bounded for m ≤ 2τ̂; see DESIGN.md §5), then
+    * scaled by exp(logC(v,m) − logC(E,τ−x)). For ∂Ω₂ each non-zero term is
+    * weighted by ψ(C(t,2)−(τ−x)+1) − ψ(E−(τ−x)+1); terms with empty support
+    * are dropped, matching the convention of the paper's Eq. (19). At τ−x = 0
+    * only m = t = 0 survives, so Ω₂ = 1 there.
     */
-  def omega2(m: Int, x: Int, tau: Int, p: ModelParams): Double = {
+  def omega2(m: Int, x: Int, tau: Int, p: ModelParams): (Double, Double) = {
     val xp = tau - x
-    if (xp < 0) return 0.0
-    if (xp == 0) return if (m == 0) 1.0 else 0.0
-    if (m < 0 || m > p.v || m > 2L * xp) return 0.0
+    if (xp < 0 || m < 0 || m > p.v || m > 2L * xp) return (0.0, 0.0)
     var inner = 0.0
+    var dInner = 0.0
+    var any = false
     var t = 0
     while (t <= m) {
       val ct2 = t.toDouble * (t - 1) / 2
       val term = binom(m.toDouble, t.toDouble) * binom(ct2, xp.toDouble)
-      if (term != 0.0) inner += (if (((m - t) & 1) == 1) -term else term)
+      if (term != 0.0) {
+        val w = digamma(ct2 - xp + 1.0) - digamma(p.e - xp + 1.0)
+        val signed = if (((m - t) & 1) == 1) -term else term
+        inner += signed
+        dInner += signed * w
+        any = true
+      }
       t += 1
     }
-    if (inner <= 0) 0.0
-    else {
-      val scale = logBinom(p.v.toDouble, m.toDouble) - logBinom(p.e, xp.toDouble)
-      math.exp(math.log(inner) + scale)
-    }
+    val scale = logBinom(p.v.toDouble, m.toDouble) - logBinom(p.e, xp.toDouble)
+    (if (inner <= 0) 0.0 else math.exp(math.log(inner) + scale),
+      if (any) dInner * math.exp(scale) else 0.0)
   }
 
   /** Ω₃(r,φ) = Pr[GBD=φ | R=r] = C(r, r−φ)·(D−1)^φ / D^r — Lemma 3: of the
@@ -101,9 +118,10 @@ object BranchModel {
     * at one τ, in one pass over the terms of Eq. (7).
     *
     * Summation ranges follow Section 6.2: x ∈ [0,τ], m ∈ [0, min(2(τ−x), v)],
-    * r ∈ [max(x,m), min(x+m, v)]. Ω₁, Ω₂ and Ω₄ do not depend on φ, so each
-    * is evaluated once per (x, m, r) for the whole row, and Ω₃ once per
-    * (r, φ) — the reuse of the paper's Eq. (28). With S(φ) = Σ_r Ω₃·Ω₄, the
+    * r ∈ [max(x,m), min(x+m, v)]. Ω₁, Ω₂ and Ω₄ do not depend on φ, so
+    * (Ω₁, ∂Ω₁) is evaluated once per x, (Ω₂, ∂Ω₂) once per (x, m) and Ω₄
+    * once per (x, m, r) for the whole row, and Ω₃ once per (r, φ) — the
+    * reuse of the paper's Eq. (28). With S(φ) = Σ_r Ω₃·Ω₄, the
     * derivative is Σ_x [∂Ω₁·Σ_m Ω₂·S + Ω₁·Σ_m ∂Ω₂·S]; an m is skipped only
     * where Ω₂ and ∂Ω₂ are both zero. There is no τ = 0 shortcut: Λ₁(0, 0) = 1,
     * but ∂Λ₁(0, 0) carries the ψ terms of ∂Ω₁ and ∂Ω₂. Both rows are zero
@@ -114,11 +132,11 @@ object BranchModel {
     val dRow = new Array[Double](phiMax + 1)
     val top = math.min(phiMax, 2 * tau)
     val o3 = Array.tabulate(math.min(2L * tau, p.v).toInt + 1, top + 1)(omega3(_, _, p))
-    for (x <- 0 to math.min(tau.toLong, p.v).toInt; o1 = omega1(x, tau, p) if o1 > 0) {
+    for (x <- 0 to math.min(tau.toLong, p.v).toInt; (o1, d1) = omega1(x, tau, p) if o1 > 0) {
       val accX = new Array[Double](top + 1)
       val dAccX = new Array[Double](top + 1)
-      for (m <- 0 to math.min(2L * (tau - x), p.v).toInt; o2 = omega2(m, x, tau, p);
-           d2 = dOmega2(m, x, tau, p) if o2 > 0 || d2 != 0) {
+      for (m <- 0 to math.min(2L * (tau - x), p.v).toInt; (o2, d2) = omega2(m, x, tau, p)
+           if o2 > 0 || d2 != 0) {
         val accM = new Array[Double](top + 1)
         for (r <- math.max(x, m) to math.min((x + m).toLong, p.v).toInt) {
           val o4 = omega4(x, r, m, p)
@@ -129,7 +147,6 @@ object BranchModel {
           dAccX(phi) += d2 * accM(phi)
         }
       }
-      val d1 = dOmega1(x, tau, p)
       for (phi <- 0 to top) {
         row(phi) += o1 * accX(phi)
         dRow(phi) += d1 * accX(phi) + o1 * dAccX(phi)
@@ -143,53 +160,4 @@ object BranchModel {
     */
   def lambda1Matrix(tauHat: Int, p: ModelParams): (Array[Array[Double]], Array[Array[Double]]) =
     Array.tabulate(tauHat + 1)(lambda1Row(_, 2 * tauHat, p)).unzip
-
-  /** Γ-continuation of Ω₁ to real τ (used to cross-check the derivative).
-    * Intentionally unclamped: at support boundaries (e.g. τ−x=0) the smooth
-    * continuation is what the analytic digamma derivative differentiates.
-    */
-  private[core] def omega1Cont(x: Int, tau: Double, p: ModelParams): Double = {
-    val l = logBinom(p.v.toDouble, x.toDouble) + logBinomCont(p.e, tau - x) -
-      logBinomCont(p.v + p.e, tau)
-    if (l == Double.NegativeInfinity || l.isNaN) 0.0 else math.exp(l)
-  }
-
-  /** dΩ₁/dτ — exact derivative of the Γ-continued Lemma-1 form:
-    * Ω₁·[ψ(τ+1) − ψ(τ−x+1) + ψ(E−τ+x+1) − ψ(v+E−τ+1)].
-    */
-  def dOmega1(x: Int, tau: Int, p: ModelParams): Double = {
-    val o1 = omega1(x, tau, p)
-    if (o1 == 0.0) 0.0
-    else {
-      val xp = tau - x
-      val g = digamma(tau + 1.0) - digamma(xp + 1.0) +
-        digamma(p.e - xp + 1.0) - digamma(p.v + p.e - tau + 1.0)
-      o1 * g
-    }
-  }
-
-  /** dΩ₂/dτ — per-term exact derivative of the Γ-continued Lemma-2 form.
-    * Each surviving inclusion–exclusion term is weighted by
-    * ψ(C(t,2)−(τ−x)+1) − ψ(E−(τ−x)+1); terms with empty support are dropped,
-    * matching the convention of the paper's Eq. (19).
-    */
-  def dOmega2(m: Int, x: Int, tau: Int, p: ModelParams): Double = {
-    val xp = tau - x
-    if (xp < 0 || m < 0 || m > p.v || m > 2L * math.max(xp, 0)) return 0.0
-    var inner = 0.0
-    var any = false
-    var t = 0
-    while (t <= m) {
-      val ct2 = t.toDouble * (t - 1) / 2
-      val b = binom(m.toDouble, t.toDouble) * binom(ct2, xp.toDouble)
-      if (b != 0.0) {
-        val w = digamma(ct2 - xp + 1.0) - digamma(p.e - xp + 1.0)
-        inner += (if (((m - t) & 1) == 1) -b * w else b * w)
-        any = true
-      }
-      t += 1
-    }
-    if (!any) 0.0
-    else inner * math.exp(logBinom(p.v.toDouble, m.toDouble) - logBinom(p.e, xp.toDouble))
-  }
 }

@@ -2,7 +2,7 @@ package repro.core
 
 /** Numeric special functions used by the probabilistic model of Section 5.
   *
-  * Everything here is pure, allocation-free and safe inside Spark UDFs. The
+  * Everything here is pure, allocation-free and safe inside Spark tasks. The
   * paper's complexity analysis assumes O(1) combinational numbers (via
   * Stirling); we get the same via Lanczos `lgamma`, which additionally gives
   * the Γ-continuation needed for the Jeffreys-prior derivatives (Eq. 16–23).
@@ -57,12 +57,6 @@ object Combinatorics {
       logBinom(n, n - ki)
     } else lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1)
   }
-
-  /** Γ-continued log C(n,k) without the support clamp (requires k > −1 and
-    * n−k > −1). Used only by derivative finite-difference cross-checks.
-    */
-  def logBinomCont(n: Double, k: Double): Double =
-    lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1)
 
   /** C(n,k) as a Double (0 outside support; exact to ~1e-13 relative). */
   def binom(n: Double, k: Double): Double = {

@@ -68,8 +68,8 @@ object Gbda {
 
   /** Φ = Pr[GED(Q,G) ≤ τ̂ | GBD(Q,G) = φ] (Eq. 3), looked up in the
     * model's table; 0 for φ > 2τ̂ (Λ₁ vanishes there), and 1 for v = 0: two
-    * empty graphs have GED = GBD = 0 ≤ τ̂. A size missing from the table is
-    * tabulated for this call only.
+    * empty graphs have GED = GBD = 0 ≤ τ̂. Any other size must have a row,
+    * added by [[GbdaModel.ensureVs]].
     *
     * @param v extended size |V₁'| = max(|V_Q|, |V_G|) of the pair
     */
@@ -77,7 +77,11 @@ object Gbda {
     require(gbd >= 0, s"GBD must be non-negative, got $gbd")
     if (gbd > 2L * model.tauHat) 0.0
     else if (v == 0) 1.0
-    else model.phiTable.getOrElse(v, model.tabulate(v)._2)(gbd)
+    else {
+      val row = model.phiTable.get(v)
+      require(row.isDefined, s"no Phi row for v=$v; add it with ensureVs")
+      row.get(gbd)
+    }
   }
 
   /** Steps 3–4 for one database graph G against the query Q: returns

@@ -3,7 +3,7 @@ package repro.harness
 import org.apache.spark.sql.SparkSession
 
 import repro.baselines.{BipartiteGed, GraphTooLargeException, GreedyGed, Seriation}
-import repro.core.{Gbda, GbdaModel, GbdaOps, Gmm}
+import repro.core.{Gbda, GbdaModel, Gmm}
 import repro.graphs.{GraphGen, LabeledGraph}
 import repro.spark.{GbdaSearch, GraphFrames}
 
@@ -115,10 +115,7 @@ object Efficiency {
             case e: GraphTooLargeException => SynRow(dsName, n, method, None, e.getMessage)
           }
 
-      val gbdaRow = time("GBDA", Int.MaxValue) { (a, b) =>
-        val gbd = GbdaOps.gbdFromSortedBranches(a.branches, b.branches)
-        Gbda.phi(gbd, n.toLong, model)
-      }
+      val gbdaRow = time("GBDA", Int.MaxValue)((a, b) => Gbda.score(a.n, a.branches, b.n, b.branches, model))
       val lsapRow = time("LSAP", LsapMaxN)((a, b) => BipartiteGed.estimateHungarian(a, b))
       val greedyRow = time("Greedy-Sort-GED", GreedyMaxN)((a, b) => GreedyGed.estimate(a, b))
       // pre-compute the per-graph accessory structure only for sampled graphs

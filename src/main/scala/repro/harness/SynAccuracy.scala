@@ -2,7 +2,7 @@ package repro.harness
 
 import org.apache.spark.sql.SparkSession
 
-import repro.core.{Gbda, GbdaOps}
+import repro.core.Gbda
 import repro.ged.GedBounds
 import repro.spark.{GbdaSearch, GraphFrames}
 
@@ -32,14 +32,11 @@ object SynAccuracy {
       graphsDf.unpersist()
 
       val pairs = for (q <- queries; g <- ds.graphs) yield (q, g)
-      val gbdCache = pairs.map { case (q, g) =>
-        (q.id, g.id) -> GbdaOps.gbdFromSortedBranches(q.branches, g.branches)
-      }.toMap
 
       tauHats.flatMap { th =>
         val model = base.withTauHat(th)
         val phiCache = pairs.map { case (q, g) =>
-          (q.id, g.id) -> Gbda.phi(gbdCache((q.id, g.id)), n.toLong, model)
+          (q.id, g.id) -> Gbda.score(g.n, g.branches, q.n, q.branches, model)._2
         }.toMap
         gammas.map { gm =>
           Row(dsName, n, th, gm, Confusion.count(pairs)(

@@ -99,7 +99,8 @@ object GbdaSearch {
     */
   def search(graphs: DataFrame, model: GbdaModel, query: LabeledGraph, gamma: Double): DataFrame = {
     // fitModel tabulates every |V_G|, so v = max(|V_Q|, |V_G|) can only be
-    // missing when it is |V_Q|; any other gap is tabulated per lookup.
+    // missing when it is |V_Q|; any other gap (a model fitted on another
+    // database) fails Gbda.phi's check.
     val m = model.ensureVs(Seq(query.n.toLong))
     val (qn, qb) = (query.n, query.branches)
     val hits = graphs.sparkSession.sparkContext.runJob(graphs.rdd, (it: Iterator[Row]) =>

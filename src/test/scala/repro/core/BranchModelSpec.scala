@@ -30,7 +30,7 @@ class BranchModelSpec extends AnyFunSuite {
 
   test("Example 6: Lambda1(0,3) = Lambda1(1,3) = 0") {
     assert(lambda1(0, 3, pEx6) == 0.0)
-    assert(lambda1(1, 3, pEx6) == 0.0) // phi=3 > 3*tau is false, but r<=3x impossible? verify zero
+    assert(lambda1(1, 3, pEx6) == 0.0)
   }
 
   test("Lambda1(0,0) = 1 (no edits, branches identical)") {
@@ -49,22 +49,34 @@ class BranchModelSpec extends AnyFunSuite {
   test("lambda1Row equals the direct triple sum of Eq. (7)") {
     for (v <- Seq(4L, 9L, 40L); tau <- 1 to 5) {
       val p = ModelParams(v, 3, 2)
-      val (row, _) = lambda1Row(tau, 3 * tau + 1, p)
-      assert(row.length == 3 * tau + 2)
+      val (row, dRow) = lambda1Row(tau, 3 * tau + 1, p)
+      assert(row.length == 3 * tau + 2 && dRow.length == row.length)
       for (phi <- row.indices) {
         var direct = 0.0
+        var dDirect = 0.0
         for (x <- 0 to math.min(tau.toLong, v).toInt; m <- 0 to math.min(2L * (tau - x), v).toInt;
-             r <- math.max(x, m) to math.min((x + m).toLong, v).toInt)
-          direct += omega1(x, tau, p) * omega2(m, x, tau, p) * omega3(r, phi, p) * omega4(x, r, m, p)
+             r <- math.max(x, m) to math.min((x + m).toLong, v).toInt) {
+          val (o1, d1) = omega1(x, tau, p)
+          val (o2, d2) = omega2(m, x, tau, p)
+          val o34 = omega3(r, phi, p) * omega4(x, r, m, p)
+          direct += o1 * o2 * o34
+          dDirect += (d1 * o2 + o1 * d2) * o34
+        }
         assert(math.abs(row(phi) - direct) < 1e-13, s"v=$v tau=$tau phi=$phi")
+        assert(math.abs(dRow(phi) - dDirect) < 1e-13, s"v=$v tau=$tau phi=$phi d=${dRow(phi)} direct=$dDirect")
         assert(lambda1(tau, phi, p) == row(phi), s"v=$v tau=$tau phi=$phi")
       }
     }
   }
 
-  test("Lambda1 vanishes for phi > 3*tau") {
-    for (tau <- 1 to 4; phi <- 3 * tau + 1 to 3 * tau + 5)
-      assert(lambda1(tau, phi, pEx6) == 0.0, s"tau=$tau phi=$phi")
+  test("Lambda1 and its derivative vanish for phi > 2*tau") {
+    for (tau <- 1 to 4) {
+      val (row, dRow) = lambda1Row(tau, 3 * tau + 1, pEx6)
+      for (phi <- 2 * tau + 1 to 3 * tau + 1) {
+        assert(row(phi) == 0.0 && dRow(phi) == 0.0, s"tau=$tau phi=$phi")
+        assert(lambda1(tau, phi, pEx6) == 0.0, s"tau=$tau phi=$phi")
+      }
+    }
   }
 
   // --------------------------------------------------- normalization laws
@@ -78,13 +90,13 @@ class BranchModelSpec extends AnyFunSuite {
     val p = ModelParams(v, 3, 3)
 
     test(s"Omega1 sums to 1 over x (v=$v, tau=$tau)") {
-      val s = (0 to tau).map(omega1(_, tau, p)).sum
+      val s = (0 to tau).map(omega1(_, tau, p)._1).sum
       assert(math.abs(s - 1.0) < 1e-9, s"sum=$s")
     }
 
     test(s"Omega2 sums to 1 over m for each x (v=$v, tau=$tau)") {
       for (x <- 0 to tau) {
-        val s = (0 to math.min(2 * (tau - x), v.toInt)).map(omega2(_, x, tau, p)).sum
+        val s = (0 to math.min(2 * (tau - x), v.toInt)).map(omega2(_, x, tau, p)._1).sum
         assert(math.abs(s - 1.0) < 1e-8, s"x=$x sum=$s")
       }
     }
@@ -131,7 +143,8 @@ class BranchModelSpec extends AnyFunSuite {
     }
     for (m <- 0 to 2 * tau) {
       val emp = counts(m).toDouble / trials
-      assert(math.abs(emp - omega2(m, x, tau, p)) < 0.01, s"m=$m emp=$emp model=${omega2(m, x, tau, p)}")
+      val model = omega2(m, x, tau, p)._1
+      assert(math.abs(emp - model) < 0.01, s"m=$m emp=$emp model=$model")
     }
   }
 
@@ -205,6 +218,22 @@ class BranchModelSpec extends AnyFunSuite {
 
   // ----------------------------------------------------------- derivatives
 
+  /** Γ-continued log C(n,k) without the support clamp (requires k > −1 and
+    * n−k > −1).
+    */
+  private def logBinomCont(n: Double, k: Double): Double =
+    Combinatorics.lgamma(n + 1) - Combinatorics.lgamma(k + 1) - Combinatorics.lgamma(n - k + 1)
+
+  /** Γ-continuation of Ω₁ to real τ. Intentionally unclamped: at support
+    * boundaries (e.g. τ−x=0) the smooth continuation is what the analytic
+    * digamma derivative differentiates.
+    */
+  private def omega1Cont(x: Int, tau: Double, p: ModelParams): Double = {
+    val l = logBinom(p.v.toDouble, x.toDouble) + logBinomCont(p.e, tau - x) -
+      logBinomCont(p.v + p.e, tau)
+    if (l == Double.NegativeInfinity || l.isNaN) 0.0 else math.exp(l)
+  }
+
   private def omega2Cont(m: Int, x: Int, tauR: Double, tauInt: Int, p: ModelParams): Double = {
     val xpInt = tauInt - x
     val xp = tauR - x
@@ -215,7 +244,7 @@ class BranchModelSpec extends AnyFunSuite {
         val sign = if (((m - t) & 1) == 1) -1.0 else 1.0
         // unclamped Γ-continuation in x' (see omega1Cont)
         s += sign * binom(m.toDouble, t.toDouble) *
-          math.exp(Combinatorics.logBinomCont(ct2, xp) - Combinatorics.logBinomCont(p.e, xp) +
+          math.exp(logBinomCont(ct2, xp) - logBinomCont(p.e, xp) +
             logBinom(p.v.toDouble, m.toDouble))
       }
     }
@@ -232,7 +261,7 @@ class BranchModelSpec extends AnyFunSuite {
       val p = ModelParams(6, 3, 3)
       val h = 1e-5
       val fd = (omega1Cont(x, tau + h, p) - omega1Cont(x, tau - h, p)) / (2 * h)
-      val an = dOmega1(x, tau, p)
+      val an = omega1(x, tau, p)._2
       assert(math.abs(fd - an) < 1e-5 * math.max(1.0, math.abs(an)), s"fd=$fd analytic=$an")
     }
 
@@ -241,7 +270,7 @@ class BranchModelSpec extends AnyFunSuite {
       val p = ModelParams(6, 3, 3)
       val h = 1e-5
       val fd = (omega2Cont(m, x, tau + h, tau, p) - omega2Cont(m, x, tau - h, tau, p)) / (2 * h)
-      val an = dOmega2(m, x, tau, p)
+      val an = omega2(m, x, tau, p)._2
       assert(math.abs(fd - an) < 1e-4 * math.max(1.0, math.abs(an)), s"fd=$fd analytic=$an")
     }
 

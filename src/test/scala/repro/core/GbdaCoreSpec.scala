@@ -10,11 +10,10 @@ class GbdaCoreSpec extends AnyFunSuite {
   }
 
   test("phi equals the hand-assembled Bayes sum (wiring check)") {
-    // v=4 is tabulated, v=9 is not; phi runs past the 2*tauHat table, where
-    // Phi must be 0.
+    // v=4 is tabulated with the model, v=9 added later by ensureVs; phi runs
+    // past the 2*tauHat table, where Phi must be 0.
     for (tauHat <- Seq(0, 3); v <- Seq(4L, 9L)) {
-      val m = model(tauHat, Seq(4L))
-      assert(m.phiTable.contains(v) == (v == 4L))
+      val m = model(tauHat, Seq(4L)).ensureVs(Seq(9L))
       val p = ModelParams(v, 3, 3)
       val prior = JeffreysPrior.forV(v, tauHat, 3, 3)
       for (phi <- 0 to 3 * tauHat + 2) {
@@ -26,13 +25,17 @@ class GbdaCoreSpec extends AnyFunSuite {
     }
   }
 
-  test("phi at an untabulated size equals its value after ensureVs") {
+  test("phi rejects an untabulated size; ensureVs adds exactly that row") {
     val m = model(3, Seq(4L))
-    val onTheFly = (0 to 9).map(Gbda.phi(_, 9L, m))
+    val e = intercept[IllegalArgumentException](Gbda.phi(0, 9L, m))
+    assert(e.getMessage.contains("ensureVs"))
     val m2 = m.ensureVs(Seq(9L))
     assert(m2.phiTable.keySet == Set(4L, 9L) && m2.gedPrior.keySet == Set(4L, 9L))
-    assert((0 to 9).map(Gbda.phi(_, 9L, m2)) == onTheFly)
-    assert(m2.phiTable(9L).toSeq == onTheFly.take(7)) // the row holds phi in [0, 2*tauHat]
+    assert(m2.phiTable(4L) eq m.phiTable(4L))
+    val (f, phi) = m.tabulate(9L)
+    assert(m2.gedPrior(9L).toSeq == f.toSeq && m2.phiTable(9L).toSeq == phi.toSeq)
+    // the row holds phi in [0, 2*tauHat]; beyond it Phi is 0
+    assert((0 to 9).map(Gbda.phi(_, 9L, m2)) == phi.toSeq ++ Seq(0.0, 0.0, 0.0))
   }
 
   test("ensureVs covers requested sizes and deduplicates") {

@@ -98,6 +98,7 @@ class GbdSparkSpec extends SparkSpec {
       assert(model.nVertexLabels == math.max(1, advDb.flatMap(_.vertexLabels).toSet.size))
       assert(model.nEdgeLabels == math.max(1, advDb.flatMap(_.edges.map(_.label)).toSet.size))
       val nv = advDb.map(g => g.id -> g.n).toMap
+      val withQueries = model.ensureVs(queries.map(_.n.toLong)) // a fresh query's size may be new
       for (q <- queries) {
         assertJoinMatchesDuckDb(df, q)
         val join = GbdSpark.gbdVsAllJoin(df, q).collect().map(r => r.getLong(0) -> r.getInt(1))
@@ -107,7 +108,7 @@ class GbdSparkSpec extends SparkSpec {
           val ref = Gbda.search(advDb.map(g => (g.id, g.n, g.branches)), q.n, q.branches, model, gamma)
             .map(t => t._1 -> t._2).toSet
           val viaJoin = join.filter { case (gid, gbd) =>
-            Gbda.phi(gbd, math.max(nv(gid), q.n).toLong, model) >= gamma
+            Gbda.phi(gbd, math.max(nv(gid), q.n).toLong, withQueries) >= gamma
           }.toSet
           assert(served == ref, s"query=${q.id} gamma=$gamma")
           assert(viaJoin == ref, s"query=${q.id} gamma=$gamma")
