@@ -3,6 +3,7 @@ package repro.harness
 import org.apache.spark.sql.SparkSession
 
 import repro.core.JeffreysPrior
+import repro.graphs.LabeledGraph
 
 /** Table 4: time and space costs of computing the GED prior distribution
   * (Section 5.2.2 / 6.3.2). `F(τ, v)` is computed for every distinct
@@ -17,13 +18,13 @@ object Table4GedPrior {
                        sumSpaceBytes: Long, maxSpaceBytes: Long,
                        wallMs: Double)
 
-  def run(spark: SparkSession, name: String, vs: Seq[Long], tauHat: Int,
-          nVertexLabels: Int, nEdgeLabels: Int): Row = {
-    val distinct = vs.distinct.sorted
+  /** One process per distinct `(v, |L_V|, |L_E|)` of `procs`. */
+  def run(spark: SparkSession, name: String, procs: Seq[(Long, Int, Int)], tauHat: Int): Row = {
+    val distinct = procs.distinct.sortBy(_._1)
     val (perProcess, wall) = TableText.timeMs {
       spark.sparkContext
         .parallelize(distinct, math.min(distinct.size, spark.sparkContext.defaultParallelism))
-        .map { v =>
+        .map { case (v, nVertexLabels, nEdgeLabels) =>
           val t0 = System.nanoTime()
           val prior = JeffreysPrior.forV(v, tauHat, nVertexLabels, nEdgeLabels)
           val ms = (System.nanoTime() - t0) / 1e6
@@ -37,15 +38,18 @@ object Table4GedPrior {
       wall)
   }
 
+  /** Every size v of `db`, with the alphabet sizes [[repro.spark.GbdaSearch.fitModel]] uses for it. */
+  private def processes(db: Seq[LabeledGraph]): Seq[(Long, Int, Int)] = {
+    val (nVL, nEL) = LabeledGraph.alphabetSizes(db)
+    db.map(g => (g.n.toLong, nVL, nEL))
+  }
+
   def rows(spark: SparkSession, tauHat: Int = 10): Seq[Row] = {
-    val real = Datasets.realSets.map { s =>
-      run(spark, s.cfg.name, s.db.map(_.n.toLong).distinct, tauHat,
-        s.cfg.nVLabels, s.cfg.nELabels)
-    }
+    val real = Datasets.realSets.map(s => run(spark, s.cfg.name, processes(s.db), tauHat))
     val syn = Seq(true, false).map { sf =>
       // one process per subset size, as in the paper's synthetic runs
       run(spark, if (sf) "Syn-1-lite" else "Syn-2-lite",
-        Datasets.synSizes.map(_.toLong), tauHat, nVertexLabels = 10, nEdgeLabels = 5)
+        Datasets.synLite(sf).flatMap { case (_, ds) => processes(ds.graphs) }, tauHat)
     }
     real ++ syn
   }

@@ -14,7 +14,9 @@ import repro.graphs.LabeledGraph
   *     (`repro.Oracle`), and the served search ([[GbdaSearch.search]]) is
   *     checked against it.
   *   - [[pairwiseGbd]]: the two-pointer kernel (the O(nd) algorithm of
-  *     Section 3) over an explicit pair list, for the offline GBD prior.
+  *     Section 3) over an explicit pair list, as a shuffle join. It is the
+  *     reference that the GBD prior's sample ([[GbdaSearch.fitModel]], which
+  *     computes the sampled pairs' GBDs on the driver) is checked against.
   */
 object GbdSpark {
 
@@ -39,8 +41,9 @@ object GbdSpark {
           .cast("int").as("gbd"))
   }
 
-  /** GBD for an explicit pair list `(gid1, gid2)` — the offline sampling
-    * step of the GBD prior (Section 5.2.1, Steps 1.1–1.2).
+  /** GBD for an explicit pair list `(gid1, gid2)`, the sampling step of the
+    * GBD prior (Section 5.2.1, Steps 1.1–1.2) as a distributed join; the
+    * reference for [[GbdaSearch.fitGbdPrior]]'s sample.
     */
   def pairwiseGbd(graphs: DataFrame, pairs: DataFrame): DataFrame = {
     val gbdUdf = udf { (b1: Seq[String], b2: Seq[String]) =>

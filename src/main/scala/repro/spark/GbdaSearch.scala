@@ -11,11 +11,13 @@ import scala.util.Random
 
 /** Distributed GBDA (Algorithm 1).
   *
-  * Offline stage ([[fitModel]]): sample graph pairs, compute their GBDs
-  * distributed ([[GbdSpark.pairwiseGbd]]), fit the GMM prior (Eq. 14–15);
-  * then, for every distinct extended size v, tabulate the Jeffreys GED prior
-  * `F(τ,v)` (Eq. 16) and the posterior `Φ(φ,v)` (Eq. 3) as Spark tasks —
-  * mirroring the paper's fully parallel offline processes (Section 7.2).
+  * Offline stage ([[fitModel]]), two Spark jobs: one pass over the rows
+  * `(gid, nv, branches)` brings every graph's size and branch multiset to
+  * the driver, which samples graph pairs, computes their GBDs and fits the
+  * GMM prior (Eq. 14–15); then, for every distinct extended size v, one
+  * Spark task per v tabulates the Jeffreys GED prior `F(τ,v)` (Eq. 16) and
+  * the posterior `Φ(φ,v)` (Eq. 3) — mirroring the paper's fully parallel
+  * offline processes (Section 7.2).
   *
   * Online stage ([[search]]): a query is one `runJob` over the rows
   * `(gid, nv, branches)` of the database DataFrame, whose closure carries
@@ -28,7 +30,9 @@ object GbdaSearch {
   /** Components of the GMM GBD prior (the paper's K = 3). */
   val GmmComponents = 3
 
-  /** Offline Step 1*: fit both priors from the database DataFrame.
+  /** Offline Step 1*: fit both priors from the database DataFrame, in two
+    * Spark jobs: [[collectRows]], then the F/Φ rows. Nothing is shuffled or
+    * persisted.
     *
     * @param graphs  branch DataFrame from [[GraphFrames.toBranchDf]]
     * @param nPairs  number of sampled pairs for the GBD prior (α% · |D|²)
@@ -43,39 +47,55 @@ object GbdaSearch {
       extraVs: Seq[Long] = Nil): GbdaModel = {
     val sc = graphs.sparkSession.sparkContext
     val (nVL, nEL) = GraphFrames.alphabetSizes(graphs)
-    val ids = graphs.select("gid", "nv").collect().map(r => (r.getLong(0), r.getInt(1)))
+    val rows = collectRows(graphs)
 
-    val gmm = fitGbdPrior(graphs, ids.map(_._1), nPairs, seed)
+    val gmm = fitGbdPrior(rows.map(_._3), nPairs, seed)
 
     // F and Φ rows per distinct extended size, one Spark task per v; v = 0
     // (two empty graphs) needs no row, as Φ is 1 there.
     val unfitted = GbdaModel(tauHat, nVL, nEL, gmm)
-    val vs = (ids.map(_._2.toLong) ++ extraVs).distinct.filter(_ > 0).toSeq
+    val vs = (rows.map(_._2.toLong) ++ extraVs).distinct.filter(_ > 0).toSeq
     unfitted.withRows(sc
       .parallelize(vs, math.max(1, math.min(vs.size, sc.defaultParallelism)))
       .map(v => (v, unfitted.tabulate(v)))
       .collect())
   }
 
+  /** Every graph's `(gid, nv, branches)` in partition order, which is the
+    * order [[GraphFrames.toBranchDf]] encoded them in, from one job over
+    * `graphs.rdd`. That is the RDD [[search]] runs over, so the plan made
+    * here is the one later queries reuse.
+    */
+  def collectRows(graphs: DataFrame): Array[(Long, Int, Array[String])] =
+    graphs.sparkSession.sparkContext.runJob(graphs.rdd, (it: Iterator[Row]) =>
+      it.map(r => (r.getLong(0), r.getInt(1), r.getSeq[String](2).toArray)).toArray).flatten
+
   /** Offline Steps 1.1–1.3, the GBD prior: sample `nPairs` pairs of distinct
-    * graphs from `ids`, compute their GBDs distributed
-    * ([[GbdSpark.pairwiseGbd]]), and fit a [[GmmComponents]]-component GMM
+    * graphs from the sorted branch multisets `branches`, compute their GBDs
+    * with the two-pointer kernel and fit a [[GmmComponents]]-component GMM
     * to them.
     */
-  def fitGbdPrior(graphs: DataFrame, ids: Array[Long], nPairs: Int, seed: Long): Gmm = {
-    require(ids.length >= 2, "need at least two graphs to fit priors")
+  def fitGbdPrior(branches: Array[Array[String]], nPairs: Int, seed: Long): Gmm =
+    Gmm.fit(gbdSample(branches, nPairs, seed), GmmComponents)
+
+  /** The GBDs of the pairs [[samplePairs]] draws, sorted, so that the GMM
+    * depends only on the sampled multiset and not on any row order.
+    */
+  private[spark] def gbdSample(branches: Array[Array[String]], nPairs: Int, seed: Long): Array[Double] =
+    samplePairs(branches.length, nPairs, seed)
+      .map { case (i, j) => GbdaOps.gbdFromSortedBranches(branches(i), branches(j)).toDouble }
+      .sorted
+
+  /** `nPairs` uniformly drawn index pairs `(i, j)` of distinct graphs among `n`. */
+  private[spark] def samplePairs(n: Int, nPairs: Int, seed: Long): Array[(Int, Int)] = {
+    require(n >= 2, "need at least two graphs to fit priors")
     val rng = new Random(seed)
-    val pairs = Seq.fill(nPairs) {
-      val i = rng.nextInt(ids.length)
-      var j = rng.nextInt(ids.length)
-      while (j == i) j = rng.nextInt(ids.length)
-      (ids(i), ids(j))
+    Array.fill(nPairs) {
+      val i = rng.nextInt(n)
+      var j = rng.nextInt(n)
+      while (j == i) j = rng.nextInt(n)
+      (i, j)
     }
-    val spark = graphs.sparkSession
-    import spark.implicits._
-    val gbds = GbdSpark.pairwiseGbd(graphs, pairs.toDF("gid1", "gid2"))
-      .select("gbd").collect().map(_.getInt(0).toDouble)
-    Gmm.fit(gbds, GmmComponents)
   }
 
   private val hitSchema = StructType(Seq(

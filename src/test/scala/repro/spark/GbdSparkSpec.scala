@@ -6,7 +6,7 @@ import org.scalacheck.rng.Seed
 
 import repro.{Oracle, SparkSpec}
 import repro.TestGraphs.{adversarialGraph, g1, g2, randomSmall}
-import repro.core.Gbda
+import repro.core.{Gbda, GbdaModel, Gmm}
 import repro.graphs.{Edge, GraphGen, LabeledGraph}
 
 class GbdSparkSpec extends SparkSpec {
@@ -78,6 +78,30 @@ class GbdSparkSpec extends SparkSpec {
     assertJoinMatchesDuckDb(df, q)
   }
 
+  /** Asserts that the GBD prior sample of a fit on `df` (`nPairs` pairs drawn
+    * with `seed`) is, once sorted, [[GbdSpark.pairwiseGbd]]'s output on the
+    * same pairs, and that `model`, fitted with those arguments, holds
+    * bit for bit the GMM fitted to that sorted output.
+    */
+  private def assertPriorSampleIsPairwise(df: DataFrame, model: GbdaModel, nPairs: Int, seed: Long): Unit = {
+    import spark.implicits._
+    val gids = df.select("gid").collect().map(_.getLong(0))
+    val pairs = GbdaSearch.samplePairs(gids.length, nPairs, seed).map { case (i, j) => (gids(i), gids(j)) }
+    val reference = GbdSpark.pairwiseGbd(df, pairs.toSeq.toDF("gid1", "gid2"))
+      .select("gbd").collect().map(_.getInt(0).toDouble).sorted
+    val rows = GbdaSearch.collectRows(df)
+    assert(rows.map(_._1).sameElements(gids))
+    assert(GbdaSearch.gbdSample(rows.map(_._3), nPairs, seed).sameElements(reference))
+    val expected = Gmm.fit(reference, GbdaSearch.GmmComponents)
+    for ((got, want) <- Seq(model.gmm.weights -> expected.weights, model.gmm.means -> expected.means,
+                             model.gmm.sigmas -> expected.sigmas))
+      assert(java.util.Arrays.equals(got, want), s"${got.toSeq} != ${want.toSeq}")
+  }
+
+  test("the GBD prior's sample is pairwiseGbd's on the same pairs, and the fitted GMM is Gmm.fit of it") {
+    assertPriorSampleIsPairwise(dbDf, GbdaSearch.fitModel(dbDf, tauHat = 3, nPairs = 100), nPairs = 100, seed = 7)
+  }
+
   /** A database of 4–8 adversarially labelled graphs of 0–5 vertices with ids
     * 0 until k, and two queries: a fresh graph and a copy of a database graph.
     */
@@ -94,6 +118,7 @@ class GbdSparkSpec extends SparkSpec {
       val (advDb, queries) = adversarialCase.pureApply(Gen.Parameters.default, Seed(seed.toLong))
       val df = GraphFrames.toBranchDf(spark, advDb).cache()
       val model = GbdaSearch.fitModel(df, tauHat = 2, nPairs = 30, seed = seed.toLong)
+      assertPriorSampleIsPairwise(df, model, nPairs = 30, seed = seed.toLong)
       // "" and U+0000 are labels like any other; an alphabet holds at least one.
       assert(model.nVertexLabels == math.max(1, advDb.flatMap(_.vertexLabels).toSet.size))
       assert(model.nEdgeLabels == math.max(1, advDb.flatMap(_.edges.map(_.label)).toSet.size))

@@ -180,21 +180,32 @@ class GbdaSearchSpec extends SparkSpec {
     assert(rows.map(_.getLong(0)).sorted.toSeq == db.map(_.id).sorted)
   }
 
-  test("one served query runs exactly one Spark job") {
+  /** The number of Spark jobs `body` runs, counted in the job group `group`. */
+  private def jobsIn(group: String)(body: => Unit): Int = {
     val sc = spark.sparkContext
-    val m = model // fit outside the measured job group
-    dbDf.count()
-    sc.setJobGroup("gbda-search", "one served query")
-    try GbdaSearch.search(dbDf, m, db(7), gamma = 0.5).collect()
+    sc.setJobGroup(group, group)
+    try body
     finally sc.clearJobGroup()
     // Job events reach the status tracker asynchronously but in order, so
-    // once a later marker job is visible every job of the query is too.
-    sc.setJobGroup("gbda-marker", "marker")
+    // once a later marker job is visible every job of `body` is too.
+    val marker = s"$group-marker"
+    sc.setJobGroup(marker, "marker")
     try sc.parallelize(Seq(1), 1).count()
     finally sc.clearJobGroup()
     eventually(timeout(Span(30, Seconds))) {
-      assert(sc.statusTracker.getJobIdsForGroup("gbda-marker").nonEmpty)
+      assert(sc.statusTracker.getJobIdsForGroup(marker).nonEmpty)
     }
-    assert(sc.statusTracker.getJobIdsForGroup("gbda-search").length == 1)
+    sc.statusTracker.getJobIdsForGroup(group).length
+  }
+
+  test("one served query runs exactly one Spark job") {
+    val m = model // fit outside the measured job group
+    dbDf.count()
+    assert(jobsIn("gbda-search")(GbdaSearch.search(dbDf, m, db(7), gamma = 0.5).collect()) == 1)
+  }
+
+  test("fitModel runs exactly two Spark jobs") {
+    dbDf.count()
+    assert(jobsIn("gbda-fit")(GbdaSearch.fitModel(dbDf, tauHat = 3, nPairs = 300, seed = 5)) == 2)
   }
 }
