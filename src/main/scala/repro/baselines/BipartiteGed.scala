@@ -22,7 +22,7 @@ final case class GraphTooLargeException(n: Int, limit: Int, method: String)
 object BipartiteGed {
 
   /** Guard: the dense cost matrix is O((n₁+n₂)²) doubles. */
-  val DefaultMaxN = 4096
+  val MaxN = 4096
 
   def costMatrix(g1: LabeledGraph, g2: LabeledGraph): Array[Array[Double]] = {
     val n1 = g1.n
@@ -53,8 +53,8 @@ object BipartiteGed {
   }
 
   /** LSAP estimate with the Hungarian solver (O(n³)). */
-  def estimateHungarian(g1: LabeledGraph, g2: LabeledGraph, maxN: Int = DefaultMaxN): Int = {
-    guard(g1, g2, maxN, "LSAP")
+  def estimateHungarian(g1: LabeledGraph, g2: LabeledGraph): Int = {
+    guard(g1, g2, "LSAP")
     if (g1.n + g2.n == 0) 0 // two empty graphs: the solver rejects their 0×0 cost matrix
     else {
       val (assign, _) = Hungarian.solve(costMatrix(g1, g2))
@@ -110,9 +110,10 @@ object BipartiteGed {
     cost
   }
 
-  private def guard(g1: LabeledGraph, g2: LabeledGraph, maxN: Int, method: String): Unit = {
+  /** Throws when `g1` and `g2` exceed [[MaxN]] vertices together. */
+  private[baselines] def guard(g1: LabeledGraph, g2: LabeledGraph, method: String): Unit = {
     val n = g1.n + g2.n
-    if (n > maxN) throw GraphTooLargeException(n, maxN, method)
+    if (n > MaxN) throw GraphTooLargeException(n, MaxN, method)
   }
 
   private[baselines] def incidentLabels(g: LabeledGraph): Array[Array[String]] = {

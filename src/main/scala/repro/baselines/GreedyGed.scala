@@ -9,9 +9,8 @@ import repro.graphs.LabeledGraph
   */
 object GreedyGed {
 
-  def estimate(g1: LabeledGraph, g2: LabeledGraph, maxN: Int = BipartiteGed.DefaultMaxN): Int = {
-    val n = g1.n + g2.n
-    if (n > maxN) throw GraphTooLargeException(n, maxN, "Greedy-Sort-GED")
+  def estimate(g1: LabeledGraph, g2: LabeledGraph): Int = {
+    BipartiteGed.guard(g1, g2, "Greedy-Sort-GED")
     val cost = BipartiteGed.costMatrix(g1, g2)
     val assign = greedyAssignment(cost)
     BipartiteGed.inducedCost(g1, g2, BipartiteGed.mappingFromAssignment(g1.n, g2.n, assign))

@@ -16,11 +16,14 @@ import repro.graphs.LabeledGraph
 object Seriation {
 
   /** Guard on the dense adjacency allocation (n² floats per graph). */
-  val DefaultMaxN = 4096
+  val MaxN = 4096
+
+  /** Power-iteration steps of [[leadingEigenvector]]. */
+  val Iters = 60
 
   /** Dense 0/1 adjacency matrix (labels enter through the serialized string). */
-  def adjacencyMatrix(g: LabeledGraph, maxN: Int = DefaultMaxN): Array[Array[Float]] = {
-    if (g.n > maxN) throw GraphTooLargeException(g.n, maxN, "Seriation")
+  def adjacencyMatrix(g: LabeledGraph): Array[Array[Float]] = {
+    if (g.n > MaxN) throw GraphTooLargeException(g.n, MaxN, "Seriation")
     val a = Array.ofDim[Float](g.n, g.n)
     g.edges.foreach { e => a(e.u)(e.v) = 1f; a(e.v)(e.u) = 1f }
     a
@@ -31,12 +34,12 @@ object Seriation {
     * plain power iteration oscillates; the shift preserves the principal
     * eigenvector and guarantees convergence.
     */
-  def leadingEigenvector(g: LabeledGraph, iters: Int = 60, maxN: Int = DefaultMaxN): Array[Double] = {
-    val a = adjacencyMatrix(g, maxN)
+  def leadingEigenvector(g: LabeledGraph): Array[Double] = {
+    val a = adjacencyMatrix(g)
     val n = g.n
     var v = Array.fill(n)(1.0 / math.sqrt(n.toDouble))
     var it = 0
-    while (it < iters) {
+    while (it < Iters) {
       val w = new Array[Double](n)
       var i = 0
       while (i < n) {
@@ -60,8 +63,8 @@ object Seriation {
   /** Serialized vertex-label string in descending eigenvector order
     * (ties broken by degree, then label, for determinism).
     */
-  def seriationString(g: LabeledGraph, maxN: Int = DefaultMaxN): Array[String] = {
-    val ev = leadingEigenvector(g, maxN = maxN)
+  def seriationString(g: LabeledGraph): Array[String] = {
+    val ev = leadingEigenvector(g)
     val deg = g.degrees
     (0 until g.n)
       .sortBy(i => (-ev(i), -deg(i), g.vertexLabels(i)))
@@ -72,9 +75,6 @@ object Seriation {
   /** Seriation GED estimate from precomputed serialized strings. */
   def estimateFromStrings(s1: Array[String], s2: Array[String], m1: Int, m2: Int): Int =
     levenshtein(s1, s2) + math.abs(m1 - m2)
-
-  def estimate(g1: LabeledGraph, g2: LabeledGraph, maxN: Int = DefaultMaxN): Int =
-    estimateFromStrings(seriationString(g1, maxN), seriationString(g2, maxN), g1.m, g2.m)
 
   /** Two-row Levenshtein over label sequences (unit costs). */
   def levenshtein(a: Array[String], b: Array[String]): Int = {

@@ -26,27 +26,30 @@ final case class Gmm(weights: Array[Double], means: Array[Double], sigmas: Array
 
 object Gmm {
 
-  /** Fit by EM with quantile initialization.
-    *
-    * @param minSigma floor on component std-dev; GBDs are integers, so a
-    *                 half-unit floor keeps the continuity correction sane and
-    *                 prevents collapsed components.
+  /** EM iterations of [[fit]]. */
+  val Iters = 100
+
+  /** Floor on a component's std-dev: GBDs are integers, so a half-unit floor
+    * keeps the continuity correction sane and prevents collapsed components.
     */
-  def fit(xs: Array[Double], k: Int, iters: Int = 100, minSigma: Double = 0.5): Gmm = {
+  val MinSigma = 0.5
+
+  /** Fit `k` components by [[Iters]] rounds of EM with quantile initialization. */
+  def fit(xs: Array[Double], k: Int): Gmm = {
     require(xs.nonEmpty, "cannot fit a GMM on an empty sample")
-    require(k >= 1 && iters >= 1)
+    require(k >= 1)
     val n = xs.length
     val kk = math.min(k, n)
     val sorted = xs.sorted
     val means = Array.tabulate(kk)(i => sorted(math.min(n - 1, ((i + 0.5) / kk * n).toInt)))
     val mean = xs.sum / n
-    val std = math.max(minSigma, math.sqrt(xs.map(x => (x - mean) * (x - mean)).sum / n))
+    val std = math.max(MinSigma, math.sqrt(xs.map(x => (x - mean) * (x - mean)).sum / n))
     val sig = Array.fill(kk)(std)
     val w = Array.fill(kk)(1.0 / kk)
 
     val resp = new Array[Double](kk)
     var it = 0
-    while (it < iters) {
+    while (it < Iters) {
       val sumW = new Array[Double](kk)
       val sumWX = new Array[Double](kk)
       val sumWX2 = new Array[Double](kk)
@@ -73,7 +76,7 @@ object Gmm {
       while (j < kk) {
         val nw = math.max(sumW(j), 1e-9)
         means(j) = sumWX(j) / nw
-        sig(j) = math.max(minSigma, math.sqrt(math.max(0.0, sumWX2(j) / nw - means(j) * means(j))))
+        sig(j) = math.max(MinSigma, math.sqrt(math.max(0.0, sumWX2(j) / nw - means(j) * means(j))))
         w(j) = nw / n
         j += 1
       }

@@ -143,33 +143,37 @@ object GraphGen {
     }.toVector
   }
 
+  /** Syn subsets: extra edges per template vertex, the size of each
+    * family's vertex alphabet and of the shared edge alphabet.
+    */
+  val SynExtraPerVertex = 3
+  val SynVertexLabels = 10
+  val SynEdgeLabels = 5
+
   /** One Syn subset: `families` Appendix-F families of graphs with `n`
     * vertices each; `d+1` variants per family. Family `f` draws vertex
-    * labels from its private alphabet `F<f>:L0..L<nVLabels-1>`, making
-    * cross-family GED provably ≥ n via the label lower bound.
+    * labels from its private alphabet `F<f>:L0..L<SynVertexLabels-1>`,
+    * making cross-family GED provably ≥ n via the label lower bound.
     */
   def synSubset(
       n: Int,
       families: Int,
       d: Int,
       scaleFree: Boolean,
-      extraPerVertex: Int = 3,
-      nVLabels: Int = 10,
-      nELabels: Int = 5,
       seed: Long = 11): KnownGedDataset = {
     val rng = new Random(seed * 7919 + n)
-    val edgeAlphabet = IndexedSeq.tabulate(nELabels)(i => s"e$i")
+    val edgeAlphabet = IndexedSeq.tabulate(SynEdgeLabels)(i => s"e$i")
     val graphs = Vector.newBuilder[LabeledGraph]
     val meta = Map.newBuilder[Long, (Int, Int)]
     var f = 0
     while (f < families) {
-      val vAlphabet = IndexedSeq.tabulate(nVLabels)(i => s"F$f:L$i")
+      val vAlphabet = IndexedSeq.tabulate(SynVertexLabels)(i => s"F$f:L$i")
       // Appendix F: "If there is no such a vertex, we re-generate the graph
       // until success" — here the center must have degree ≥ d.
-      var tmpl = template(0L, n, extraPerVertex, scaleFree, vAlphabet, edgeAlphabet, rng)
+      var tmpl = template(0L, n, SynExtraPerVertex, scaleFree, vAlphabet, edgeAlphabet, rng)
       var retries = 0
       while (tmpl.degrees.max < d && retries < 50) {
-        tmpl = template(0L, n, extraPerVertex, scaleFree, vAlphabet, edgeAlphabet, rng)
+        tmpl = template(0L, n, SynExtraPerVertex, scaleFree, vAlphabet, edgeAlphabet, rng)
         retries += 1
       }
       val baseId = f.toLong * 1000

@@ -1,7 +1,5 @@
 package repro.graphs
 
-import repro.core.GbdaOps
-
 /** An undirected edge between vertex indices `u < v` with a label. */
 final case class Edge(u: Int, v: Int, label: String) extends Serializable {
   require(u < v, s"edge endpoints must satisfy u < v (simple graphs, no self-loops): ($u, $v)")
@@ -71,8 +69,4 @@ object LabeledGraph {
   def alphabetSizes(graphs: Seq[LabeledGraph]): (Int, Int) =
     (math.max(1, graphs.flatMap(_.vertexLabels).distinct.size),
       math.max(1, graphs.flatMap(_.edges.map(_.label)).distinct.size))
-
-  /** GBD(G₁,G₂) = max(|V₁|,|V₂|) − |B₁ ∩ B₂| (Def. 4). */
-  def gbd(g1: LabeledGraph, g2: LabeledGraph): Int =
-    GbdaOps.gbdFromSortedBranches(g1.branches, g2.branches)
 }

@@ -10,9 +10,16 @@ final case class Confusion(tp: Int, fp: Int, fn: Int) {
     val p = precision; val r = recall
     if (p + r == 0) 0.0 else 2 * p * r / (p + r)
   }
+
+  /** The table cells under [[Confusion.Header]]. */
+  def cells: Seq[String] =
+    Seq(TableText.fmt(precision), TableText.fmt(recall), TableText.fmt(f1), tp.toString, fp.toString, fn.toString)
 }
 
 object Confusion {
+
+  /** Column names of [[Confusion.cells]]. */
+  val Header: Seq[String] = Seq("precision", "recall", "F1", "TP", "FP", "FN")
 
   /** Count `pairs` by whether each is `actual`ly similar and `predicted` so. */
   def count[A](pairs: Seq[A])(actual: A => Boolean, predicted: A => Boolean): Confusion = {

@@ -1,5 +1,8 @@
 package repro.harness
 
+import scala.collection.parallel.CollectionConverters._
+
+import repro.ged.ExactGed
 import repro.graphs.GraphGen
 import repro.graphs.GraphGen.{IamLikeConfig, KnownGedDataset}
 import repro.graphs.LabeledGraph
@@ -14,7 +17,16 @@ import repro.graphs.LabeledGraph
 object Datasets {
 
   /** An IAM-like dataset: database plus query graphs. */
-  final case class RealSet(cfg: IamLikeConfig, db: Vector[LabeledGraph], queries: Vector[LabeledGraph])
+  final case class RealSet(cfg: IamLikeConfig, db: Vector[LabeledGraph], queries: Vector[LabeledGraph]) {
+
+    /** Exact-GED ground truth, (query id, graph id) → GED for every query ×
+      * database pair, computed once and in parallel across the local cores:
+      * the substitute for the paper's days-long exact-GED runs (DESIGN.md §4).
+      */
+    lazy val exactGeds: Map[(Long, Long), Int] =
+      (for (q <- queries; g <- db) yield (q, g)).par
+        .map { case (q, g) => (q.id, g.id) -> ExactGed.compute(q, g) }.seq.toMap
+  }
 
   // |L_V|, |L_E| and average degree follow Table 2; sizes are exact-GED-feasible.
   val aidsCfg   = IamLikeConfig("AIDS-lite",   285, 15, 4, 9, 10, 3, 2.1, seed = 101)
@@ -40,19 +52,18 @@ object Datasets {
   val synFamilies = 5
   val synD = 10
 
-  /** One Syn-lite subset: scale-free (Syn-1) or uniformly random (Syn-2). */
-  def synSubset(n: Int, scaleFree: Boolean): KnownGedDataset =
-    GraphGen.synSubset(n, families = synFamilies, d = synD, scaleFree = scaleFree,
-      extraPerVertex = 3, nVLabels = 10, nELabels = 5, seed = if (scaleFree) 201 else 202)
-
   private val synCache = scala.collection.concurrent.TrieMap.empty[(Int, Boolean), KnownGedDataset]
 
-  def synSubsetCached(n: Int, scaleFree: Boolean): KnownGedDataset =
-    synCache.getOrElseUpdate((n, scaleFree), synSubset(n, scaleFree))
+  /** One Syn-lite subset: scale-free (Syn-1) or uniformly random (Syn-2),
+    * generated once per (n, scaleFree).
+    */
+  def synSubset(n: Int, scaleFree: Boolean): KnownGedDataset =
+    synCache.getOrElseUpdate((n, scaleFree), GraphGen.synSubset(n, families = synFamilies, d = synD,
+      scaleFree = scaleFree, seed = if (scaleFree) 201 else 202))
 
   /** All subsets of one Syn-lite dataset. */
   def synLite(scaleFree: Boolean): Seq[(Int, KnownGedDataset)] =
-    synSizes.map(n => n -> synSubsetCached(n, scaleFree))
+    synSizes.map(n => n -> synSubset(n, scaleFree))
 
   /** Query graphs for one subset: two variants per family (they are members
     * of the database, as in the paper's protocol).

@@ -3,9 +3,9 @@ package repro.harness
 import org.apache.spark.sql.SparkSession
 
 import repro.baselines.{BipartiteGed, GraphTooLargeException, GreedyGed, Seriation}
-import repro.core.{Gbda, GbdaModel, Gmm}
+import repro.core.{Gbda, GbdaModel}
 import repro.graphs.{GraphGen, LabeledGraph}
-import repro.spark.{GbdaSearch, GraphFrames}
+import repro.spark.GbdaSearch
 
 /** Online-stage efficiency tables (the paper's Figures 14–16, tabulated).
   *
@@ -31,45 +31,31 @@ object Efficiency {
       val db = set.db
       db.foreach(_.branches) // pre-compute stored structures
       set.queries.foreach(_.branches)
-      val graphsDf = GraphFrames.toBranchDf(spark, db).cache()
-      graphsDf.count()
-      val base = GbdaSearch.fitModel(graphsDf, tauHat = tauHats.max, nPairs = 2000,
-        extraVs = set.queries.map(_.n.toLong).distinct)
-      val models = tauHats.map(th => th -> base.withTauHat(th))
       val dbTriples = db.map(g => (g.id, g.n, g.branches))
+      def timed(method: String, tauHat: Int)(perQuery: LabeledGraph => Unit): RealRow = {
+        val (_, ms) = TableText.timeMs(set.queries.foreach(perQuery))
+        RealRow(set.cfg.name, method, tauHat, ms / set.queries.size)
+      }
 
       // The served search, one Spark job per query, after one untimed query
-      // that plans it on graphsDf.
-      GbdaSearch.search(graphsDf, base, set.queries.head, gamma = 0.5).collect()
-      val servedRows = models.map { case (th, model) =>
-        val (_, ms) = TableText.timeMs {
-          set.queries.foreach(q => GbdaSearch.search(graphsDf, model, q, gamma = 0.5).collect())
+      // that plans it on graphsDf; then the driver loop.
+      val gbdaRows = GbdaRuns.fitted(spark, db, set.queries, tauHats, nPairs = 2000) { (graphsDf, models) =>
+        GbdaSearch.search(graphsDf, models.head._2, set.queries.head, gamma = 0.5).collect()
+        val served = models.map { case (th, model) =>
+          timed("GBDA (Spark)", th)(q => GbdaSearch.search(graphsDf, model, q, gamma = 0.5).collect())
         }
-        RealRow(set.cfg.name, "GBDA (Spark)", th, ms / set.queries.size)
-      }
-      graphsDf.unpersist()
-
-      val gbdaRows = models.map { case (th, model) =>
-        val (_, ms) = TableText.timeMs {
-          set.queries.foreach(q => Gbda.search(dbTriples, q.n, q.branches, model, gamma = 0.5))
-        }
-        RealRow(set.cfg.name, "GBDA", th, ms / set.queries.size)
+        models.map { case (th, model) =>
+          timed("GBDA", th)(q => Gbda.search(dbTriples, q.n, q.branches, model, gamma = 0.5))
+        } ++ served
       }
       val serStrings = db.map(g => (g, Seriation.seriationString(g))).toMap
       val qStrings = set.queries.map(q => (q, Seriation.seriationString(q))).toMap
-      val baselineRows = Seq(
-        timedReal(set, "LSAP")(q => db.foreach(g => BipartiteGed.estimateHungarian(q, g))),
-        timedReal(set, "Greedy-Sort-GED")(q => db.foreach(g => GreedyGed.estimate(q, g))),
-        timedReal(set, "Seriation")(q => db.foreach(g =>
+      gbdaRows ++ Seq(
+        timed("LSAP", -1)(q => db.foreach(g => BipartiteGed.estimateHungarian(q, g))),
+        timed("Greedy-Sort-GED", -1)(q => db.foreach(g => GreedyGed.estimate(q, g))),
+        timed("Seriation", -1)(q => db.foreach(g =>
           Seriation.estimateFromStrings(qStrings(q), serStrings(g), q.m, g.m))))
-      gbdaRows ++ servedRows ++ baselineRows
     }
-
-  private def timedReal(set: Datasets.RealSet, method: String)(
-      perQuery: LabeledGraph => Unit): RealRow = {
-    val (_, ms) = TableText.timeMs(set.queries.foreach(perQuery))
-    RealRow(set.cfg.name, method, -1, ms / set.queries.size)
-  }
 
   def renderReal(rows: Seq[RealRow]): String =
     TableText.render(
@@ -87,6 +73,11 @@ object Efficiency {
   val GreedyMaxN = 2000
   val SeriationMaxN = 4000
 
+  /** Pairs sampled for the GBD prior of a synthetic family. The table
+    * prints only times, and a Φ lookup costs the same under any prior.
+    */
+  private val SynPriorPairs = 50
+
   def synRows(scaleFree: Boolean,
               sizes: Seq[Int] = Seq(100, 200, 500, 1000, 2000, 5000, 10000, 20000),
               tauHat: Int = 10,
@@ -96,12 +87,11 @@ object Efficiency {
       val ds = GraphGen.synSubset(n, families = 1, d = 10, scaleFree = scaleFree, seed = seed)
       val gs = ds.graphs
       val samplePairs = Seq((gs(0), gs(5)), (gs(2), gs(7)), (gs(1), gs(9)))
-      gs.foreach(_.branches)
 
-      // Minimal GBDA model: GMM over the family GBDs + the F and Φ rows at v=n.
-      val gbds = samplePairs.map { case (a, b) => LabeledGraph.gbd(a, b).toDouble }
+      // GBDA model: the GBD prior over the family's branches + the F and Φ rows at v=n.
       val (nVL, nEL) = LabeledGraph.alphabetSizes(gs)
-      val model = GbdaModel(tauHat, nVL, nEL, Gmm.fit(gbds.toArray, k = 1)).ensureVs(Seq(n.toLong))
+      val gmm = GbdaSearch.fitGbdPrior(gs.map(_.branches).toArray, SynPriorPairs, seed)
+      val model = GbdaModel(tauHat, nVL, nEL, gmm).ensureVs(Seq(n.toLong))
 
       val reps = if (n <= 500) 3 else 1
       def time(method: String, maxN: Int)(f: (LabeledGraph, LabeledGraph) => Unit): SynRow =

@@ -2,14 +2,13 @@ package repro.harness
 
 import org.apache.spark.sql.SparkSession
 
-import repro.core.Gbda
 import repro.ged.GedBounds
-import repro.spark.{GbdaSearch, GraphFrames}
 
 /** Accuracy vs graph size on the Syn sets (the paper's Figures 26–29,
-  * tabulated): GBDA precision/recall/F1 against the construction-time
-  * ground truth, per graph size n, τ̂ and γ. Cross-family separation is
-  * certified once per subset with the label lower bound.
+  * tabulated): precision/recall/F1 of the served GBDA search
+  * ([[GbdaRuns]]) against the construction-time ground truth, per graph
+  * size n, τ̂ and γ. Cross-family separation is certified once per subset
+  * with the label lower bound.
   */
 object SynAccuracy {
 
@@ -22,26 +21,16 @@ object SynAccuracy {
            nPriorPairs: Int = 400): Seq[Row] = {
     val dsName = if (scaleFree) "Syn-1-lite" else "Syn-2-lite"
     sizes.flatMap { n =>
-      val ds = Datasets.synSubsetCached(n, scaleFree)
+      val ds = Datasets.synSubset(n, scaleFree)
       certifySeparation(ds, tauHats.max)
       val queries = Datasets.synQueries(ds)
+      val pairs = for (q <- queries; g <- ds.graphs) yield (q.id, g.id)
 
-      val graphsDf = GraphFrames.toBranchDf(spark, ds.graphs).cache()
-      graphsDf.count()
-      val base = GbdaSearch.fitModel(graphsDf, tauHat = tauHats.max, nPairs = nPriorPairs)
-      graphsDf.unpersist()
-
-      val pairs = for (q <- queries; g <- ds.graphs) yield (q, g)
-
-      tauHats.flatMap { th =>
-        val model = base.withTauHat(th)
-        val phiCache = pairs.map { case (q, g) =>
-          (q.id, g.id) -> Gbda.score(g.n, g.branches, q.n, q.branches, model)._2
-        }.toMap
-        gammas.map { gm =>
-          Row(dsName, n, th, gm, Confusion.count(pairs)(
-            { case (q, g) => ds.isSimilar(q.id, g.id, th) },
-            { case (q, g) => phiCache((q.id, g.id)) >= gm }))
+      GbdaRuns.fitted(spark, ds.graphs, queries, tauHats, nPriorPairs) { (graphsDf, models) =>
+        models.flatMap { case (th, model) =>
+          val phis = GbdaRuns.phis(graphsDf, model, queries)
+          gammas.map(gm => Row(dsName, n, th, gm,
+            Confusion.count(pairs)({ case (q, g) => ds.isSimilar(q, g, th) }, phis(_) >= gm)))
         }
       }
     }
@@ -63,8 +52,6 @@ object SynAccuracy {
   def render(rs: Seq[Row]): String =
     TableText.render(
       s"GBDA accuracy vs graph size (Figs. 26–29), ${rs.headOption.map(_.dataset).getOrElse("")}",
-      Seq("n", "tauHat", "gamma", "precision", "recall", "F1", "TP", "FP", "FN"),
-      rs.map(r => Seq(r.n.toString, r.tauHat.toString, TableText.fmt(r.gamma, 1),
-        TableText.fmt(r.counts.precision), TableText.fmt(r.counts.recall), TableText.fmt(r.counts.f1),
-        r.counts.tp.toString, r.counts.fp.toString, r.counts.fn.toString)))
+      Seq("n", "tauHat", "gamma") ++ Confusion.Header,
+      rs.map(r => Seq(r.n.toString, r.tauHat.toString, TableText.fmt(r.gamma, 1)) ++ r.counts.cells))
 }

@@ -2,6 +2,7 @@ package repro
 
 import org.scalacheck.Gen
 
+import repro.core.GbdaOps
 import repro.graphs.{Edge, LabeledGraph}
 
 /** The running example of the paper (Figure 1), used as ground truth across
@@ -19,6 +20,15 @@ object TestGraphs {
   val g2: LabeledGraph = LabeledGraph(2L,
     Array("B", "A", "A", "C"),
     Array(Edge(0, 2, "x"), Edge(0, 3, "z"), Edge(1, 3, "y")))
+
+  /** GBD(G₁,G₂) = max(|V₁|,|V₂|) − |B₁ ∩ B₂| (Def. 4). */
+  def gbd(a: LabeledGraph, b: LabeledGraph): Int =
+    GbdaOps.gbdFromSortedBranches(a.branches, b.branches)
+
+  /** A graph of `n` vertices labelled `A` and no edges: cheap to build at
+    * any size, so it trips the baselines' size guards before they allocate.
+    */
+  def edgeless(id: Long, n: Int): LabeledGraph = LabeledGraph(id, Array.fill(n)("A"), Array.empty[Edge])
 
   /** Deterministic random small graph for property-style loops. */
   def randomSmall(seed: Long, n: Int, nVL: Int = 3, nEL: Int = 3, pEdge: Double = 0.45): LabeledGraph = {

@@ -2,7 +2,7 @@ package repro.baselines
 
 import org.scalatest.funsuite.AnyFunSuite
 
-import repro.TestGraphs.{g1, g2, randomSmall}
+import repro.TestGraphs.{edgeless, g1, g2, randomSmall}
 import repro.ged.ExactGed
 import repro.graphs.LabeledGraph
 
@@ -66,8 +66,8 @@ class BipartiteGedSpec extends AnyFunSuite {
   }
 
   test("memory guard throws GraphTooLargeException") {
-    val a = randomSmall(1, 6)
-    intercept[GraphTooLargeException](BipartiteGed.estimateHungarian(a, a, maxN = 5))
+    val (a, b) = (edgeless(1, BipartiteGed.MaxN / 2 + 1), edgeless(2, BipartiteGed.MaxN / 2))
+    intercept[GraphTooLargeException](BipartiteGed.estimateHungarian(a, b))
   }
 
   for (seed <- 1 to 10)

@@ -2,7 +2,7 @@ package repro.baselines
 
 import org.scalatest.funsuite.AnyFunSuite
 
-import repro.TestGraphs.{g1, g2, randomSmall}
+import repro.TestGraphs.{edgeless, g1, g2, randomSmall}
 import repro.ged.ExactGed
 
 import scala.util.Random
@@ -50,7 +50,7 @@ class GreedyGedSpec extends AnyFunSuite {
     }
 
   test("memory guard throws GraphTooLargeException") {
-    val a = randomSmall(2, 6)
-    intercept[GraphTooLargeException](GreedyGed.estimate(a, a, maxN = 5))
+    val (a, b) = (edgeless(1, BipartiteGed.MaxN / 2 + 1), edgeless(2, BipartiteGed.MaxN / 2))
+    intercept[GraphTooLargeException](GreedyGed.estimate(a, b))
   }
 }

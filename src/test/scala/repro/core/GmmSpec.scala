@@ -10,7 +10,7 @@ class GmmSpec extends AnyFunSuite {
   test("fit recovers two well-separated components") {
     val rng = new scala.util.Random(5)
     val xs = sample(rng, 3.0, 1.0, 3000) ++ sample(rng, 20.0, 2.0, 3000)
-    val g = Gmm.fit(xs, k = 2, iters = 200)
+    val g = Gmm.fit(xs, k = 2)
     val ms = g.means.sorted
     assert(math.abs(ms(0) - 3.0) < 0.5, s"means=${g.means.toSeq}")
     assert(math.abs(ms(1) - 20.0) < 0.8, s"means=${g.means.toSeq}")

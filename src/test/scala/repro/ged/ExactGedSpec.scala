@@ -5,6 +5,7 @@ import org.scalacheck.Prop.propBoolean
 import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
 
+import repro.TestGraphs
 import repro.TestGraphs.{adversarialGraph, g1, g2, randomSmall}
 import repro.baselines.{BipartiteGed, GreedyGed}
 import repro.graphs.{Edge, LabeledGraph}
@@ -77,7 +78,7 @@ class ExactGedSpec extends AnyFunSuite {
 
   test("maxN guard rejects oversized inputs") {
     val big = randomSmall(9, 15)
-    intercept[IllegalArgumentException](ExactGed.compute(big, big, maxN = 12))
+    intercept[IllegalArgumentException](ExactGed.compute(big, big))
   }
 
   test("deleting an edge then inserting elsewhere costs 2") {
@@ -117,13 +118,13 @@ class ExactGedSpec extends AnyFunSuite {
     val pairs = for (a <- adversarialGraph(1, 0, 5); b <- adversarialGraph(2, 0, 5)) yield (a, b)
     val prop = Prop.forAllNoShrink(pairs) { case (a, b) =>
       val ged = ExactGed.compute(a, b)
-      val gbd = LabeledGraph.gbd(a, b)
+      val gbd = TestGraphs.gbd(a, b)
       Prop.all(
         (ged == ExactGed.reference(a, b)) :| "branch-and-bound = brute force",
         (GedBounds.labelLowerBound(a, b) <= ged) :| "label bound <= GED",
         (math.abs(a.n - b.n) <= gbd && gbd <= 2 * ged) :| "|n1 - n2| <= GBD <= 2 GED",
-        (gbd == LabeledGraph.gbd(b, a)) :| "GBD(a, b) = GBD(b, a)",
-        (LabeledGraph.gbd(a, a) == 0) :| "GBD(a, a) = 0",
+        (gbd == TestGraphs.gbd(b, a)) :| "GBD(a, b) = GBD(b, a)",
+        (TestGraphs.gbd(a, a) == 0) :| "GBD(a, a) = 0",
         (ged <= BipartiteGed.estimateHungarian(a, b)) :| "GED <= LSAP",
         (ged <= GreedyGed.estimate(a, b)) :| "GED <= Greedy-Sort-GED")
     }

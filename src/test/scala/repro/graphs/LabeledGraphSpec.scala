@@ -2,6 +2,7 @@ package repro.graphs
 
 import org.scalatest.funsuite.AnyFunSuite
 
+import repro.TestGraphs
 import repro.TestGraphs.{g1, g2, randomSmall}
 
 class LabeledGraphSpec extends AnyFunSuite {
@@ -15,13 +16,13 @@ class LabeledGraphSpec extends AnyFunSuite {
   }
 
   test("Example 3: GBD(G1, G2) = 3") {
-    assert(LabeledGraph.gbd(g1, g2) == 3)
+    assert(TestGraphs.gbd(g1, g2) == 3)
   }
 
   test("GBD is symmetric and zero on identical graphs") {
-    assert(LabeledGraph.gbd(g1, g1) == 0)
-    assert(LabeledGraph.gbd(g2, g2) == 0)
-    assert(LabeledGraph.gbd(g1, g2) == LabeledGraph.gbd(g2, g1))
+    assert(TestGraphs.gbd(g1, g1) == 0)
+    assert(TestGraphs.gbd(g2, g2) == 0)
+    assert(TestGraphs.gbd(g1, g2) == TestGraphs.gbd(g2, g1))
   }
 
   test("branch isomorphism (Def. 3) via signature equality") {
@@ -44,7 +45,7 @@ class LabeledGraphSpec extends AnyFunSuite {
     val a = LabeledGraph(1L, Array("A", "B"), Array(Edge(0, 1, "b,c")))
     val b = LabeledGraph(2L, Array("A", "B", "C"), Array(Edge(0, 1, "b"), Edge(0, 2, "c")))
     assert(a.branches.intersect(b.branches).isEmpty, (a.branches.toSeq, b.branches.toSeq))
-    assert(LabeledGraph.gbd(a, b) == 3)
+    assert(TestGraphs.gbd(a, b) == 3)
     // a label ending in the escape character, next to another label
     assert(LabeledGraph.branchSig("A", Seq("a\\", "b")) != LabeledGraph.branchSig("A", Seq("a,b")))
     assert(LabeledGraph.branchSig("A|b", Seq.empty) != LabeledGraph.branchSig("A", Seq("b")))
@@ -54,7 +55,7 @@ class LabeledGraphSpec extends AnyFunSuite {
     // An edge labelled "" still changes both endpoint branches.
     val withEdge = LabeledGraph(1L, Array("A", "B"), Array(Edge(0, 1, "")))
     val without = LabeledGraph(2L, Array("A", "B"), Array.empty)
-    assert(LabeledGraph.gbd(withEdge, without) == 2)
+    assert(TestGraphs.gbd(withEdge, without) == 2)
     assert(LabeledGraph.branchSig("A", Seq("")) != LabeledGraph.branchSig("A", Seq.empty))
     assert(LabeledGraph.branchSig("A", Seq("", "")) != LabeledGraph.branchSig("A", Seq(",")))
   }
@@ -88,15 +89,15 @@ class LabeledGraphSpec extends AnyFunSuite {
     test(s"GBD upper-bounded by max(|V1|,|V2|) and symmetric (seed=$seed)") {
       val a = randomSmall(seed, 4 + seed % 4)
       val b = randomSmall(seed + 100, 4 + (seed + 1) % 4)
-      val d = LabeledGraph.gbd(a, b)
+      val d = TestGraphs.gbd(a, b)
       assert(d >= 0 && d <= math.max(a.n, b.n))
-      assert(d == LabeledGraph.gbd(b, a))
+      assert(d == TestGraphs.gbd(b, a))
     }
 
   for (seed <- 1 to 10)
     test(s"GBD(g,g)=0 and adding one fresh-labelled edge changes GBD by <= 2 (seed=$seed)") {
       val g = randomSmall(seed + 50, 6)
-      assert(LabeledGraph.gbd(g, g) == 0)
+      assert(TestGraphs.gbd(g, g) == 0)
       val nonEdges = for {
         i <- 0 until g.n; j <- i + 1 until g.n
         if !g.edges.exists(e => e.u == i && e.v == j)
@@ -104,7 +105,7 @@ class LabeledGraphSpec extends AnyFunSuite {
       if (nonEdges.nonEmpty) {
         val (i, j) = nonEdges.head
         val g3 = g.copy(edges = g.edges :+ Edge(i, j, "FRESH"))
-        val d = LabeledGraph.gbd(g, g3)
+        val d = TestGraphs.gbd(g, g3)
         assert(d >= 1 && d <= 2, s"d=$d") // one AE touches at most two branches
       }
     }

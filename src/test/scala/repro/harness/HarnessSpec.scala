@@ -1,6 +1,8 @@
 package repro.harness
 
 import repro.SparkSpec
+import repro.core.Gbda
+import repro.ged.ExactGed
 import repro.graphs.GraphGen
 
 class HarnessSpec extends SparkSpec {
@@ -36,24 +38,65 @@ class HarnessSpec extends SparkSpec {
     assert(Confusion(0, 3, 2).f1 == 0.0)
   }
 
-  private lazy val tinySet: Datasets.RealSet = {
-    val cfg = GraphGen.IamLikeConfig("tiny", 18, 3, 4, 6, 4, 3, 2.0, seed = 404)
+  private def tiny(seed: Long): Datasets.RealSet = {
+    val cfg = GraphGen.IamLikeConfig("tiny", 18, 3, 4, 6, 4, 3, 2.0, seed = seed)
     val (db, qs) = GraphGen.iamLike(cfg)
     Datasets.RealSet(cfg, db, qs)
   }
 
-  test("GroundTruth memoizes full exact-GED matrices") {
-    val gt = GroundTruth.exactGeds(tinySet)
+  private lazy val tinySet: Datasets.RealSet = tiny(404)
+
+  test("RealSet.exactGeds memoizes full exact-GED matrices") {
+    val gt = tinySet.exactGeds
     assert(gt.size == tinySet.queries.size * tinySet.db.size)
     gt.values.foreach(d => assert(d >= 0 && d <= 20))
-    assert(GroundTruth.exactGeds(tinySet) eq gt) // cached instance
+    assert(tinySet.exactGeds eq gt) // cached instance
+  }
+
+  test("two sets that share a name each get the exact GEDs of their own pairs") {
+    val sets = Seq(tinySet, tiny(405))
+    assert(sets.map(_.cfg.name).distinct.size == 1)
+    val expected = sets.map(s =>
+      (for (q <- s.queries; g <- s.db) yield (q.id, g.id) -> ExactGed.compute(q, g)).toMap)
+    assert(expected.distinct.size == 2, "the seeds should give different ground truths")
+    sets.zip(expected).foreach { case (s, want) => assert(s.exactGeds == want, s"seed=${s.cfg.seed}") }
+  }
+
+  test("GbdaRuns.phis covers every pair and equals Gbda.score at every tauHat") {
+    val tauHats = Seq(1, 3, 5)
+    GbdaRuns.fitted(spark, tinySet.db, tinySet.queries, tauHats, nPairs = 200) { (df, models) =>
+      assert(models.map(_._1) == tauHats)
+      models.foreach { case (th, model) =>
+        val phis = GbdaRuns.phis(df, model, tinySet.queries)
+        assert(phis.size == tinySet.queries.size * tinySet.db.size, s"tauHat=$th")
+        for (q <- tinySet.queries; g <- tinySet.db)
+          assert(phis((q.id, g.id)) == Gbda.score(g.n, g.branches, q.n, q.branches, model)._2,
+            s"tauHat=$th q=${q.id} g=${g.id}")
+      }
+    }
+  }
+
+  test("GbdaRuns.fitted unpersists its DataFrame, also when the body throws") {
+    val sc = spark.sparkContext
+    val before = sc.getPersistentRDDs.keySet
+    val seen = GbdaRuns.fitted(spark, tinySet.db, tinySet.queries, Seq(2), nPairs = 50) { (_, _) =>
+      sc.getPersistentRDDs.keySet
+    }
+    assert(seen.size > before.size, "the body should run on a cached DataFrame")
+    assert(sc.getPersistentRDDs.keySet == before)
+    intercept[IllegalStateException] {
+      GbdaRuns.fitted(spark, tinySet.db, tinySet.queries, Seq(2), nPairs = 50) { (_, _) =>
+        throw new IllegalStateException("body failed")
+      }
+    }
+    assert(sc.getPersistentRDDs.keySet == before)
   }
 
   test("Effectiveness rows are internally consistent on a tiny set") {
     val rows = Effectiveness.rows(spark, tinySet, tauHats = Seq(2, 4),
       gammas = Seq(0.8), nPriorPairs = 200)
     assert(rows.nonEmpty)
-    val gt = GroundTruth.exactGeds(tinySet)
+    val gt = tinySet.exactGeds
     rows.foreach { r =>
       assert(r.counts.precision >= 0 && r.counts.precision <= 1)
       assert(r.counts.recall >= 0 && r.counts.recall <= 1)
@@ -103,7 +146,8 @@ class HarnessSpec extends SparkSpec {
 
   test("Table2Stats on the syn-lite subsets reports the construction truthfully") {
     // use the small cached subsets only (avoid generating the full ladder)
-    val ds = Datasets.synSubsetCached(100, scaleFree = true)
+    val ds = Datasets.synSubset(100, scaleFree = true)
+    assert(Datasets.synSubset(100, scaleFree = true) eq ds) // generated once
     assert(ds.graphs.size == Datasets.synFamilies * (Datasets.synD + 1))
     assert(Datasets.synQueries(ds).size == 2 * Datasets.synFamilies)
   }

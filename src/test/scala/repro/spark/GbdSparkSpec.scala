@@ -4,7 +4,7 @@ import org.apache.spark.sql.DataFrame
 import org.scalacheck.Gen
 import org.scalacheck.rng.Seed
 
-import repro.{Oracle, SparkSpec}
+import repro.{Oracle, SparkSpec, TestGraphs}
 import repro.TestGraphs.{adversarialGraph, g1, g2, randomSmall}
 import repro.core.{Gbda, GbdaModel, Gmm}
 import repro.graphs.{Edge, GraphGen, LabeledGraph}
@@ -19,7 +19,7 @@ class GbdSparkSpec extends SparkSpec {
     val got = GbdSpark.gbdVsAllJoin(dbDf, g1).collect()
       .map(r => r.getLong(0) -> r.getInt(1)).toMap
     db.foreach { g =>
-      assert(got(g.id) == LabeledGraph.gbd(g1, g), s"gid=${g.id}")
+      assert(got(g.id) == TestGraphs.gbd(g1, g), s"gid=${g.id}")
     }
   }
 
@@ -74,7 +74,7 @@ class GbdSparkSpec extends SparkSpec {
     val join = GbdSpark.gbdVsAllJoin(df, q).collect().map(r => r.getLong(0) -> r.getInt(1)).toMap
     assert(join(2L) == 3 && join(3L) == 0)
     assert(served == join)
-    sepDb.foreach(g => assert(join(g.id) == LabeledGraph.gbd(q, g), s"gid=${g.id}"))
+    sepDb.foreach(g => assert(join(g.id) == TestGraphs.gbd(q, g), s"gid=${g.id}"))
     assertJoinMatchesDuckDb(df, q)
   }
 
@@ -150,7 +150,7 @@ class GbdSparkSpec extends SparkSpec {
       .map(r => (r.getLong(0), r.getLong(1)) -> r.getInt(2)).toMap
     val byId = db.map(g => g.id -> g).toMap
     pairs.foreach { case (a, b) =>
-      assert(got((a, b)) == LabeledGraph.gbd(byId(a), byId(b)), s"pair=($a,$b)")
+      assert(got((a, b)) == TestGraphs.gbd(byId(a), byId(b)), s"pair=($a,$b)")
     }
   }
 
@@ -160,7 +160,7 @@ class GbdSparkSpec extends SparkSpec {
     val q = ds.graphs.head // family 0, variant 0 (the template)
     val got = GbdSpark.gbdVsAllJoin(df, q).collect().map(r => r.getLong(0) -> r.getInt(1)).toMap
     ds.graphs.foreach { g =>
-      assert(got(g.id) == LabeledGraph.gbd(q, g))
+      assert(got(g.id) == TestGraphs.gbd(q, g))
       // within family 0: variant j differs in j edges around the center, so
       // GBD <= 2j (each RE touches at most two branches)
       if (ds.meta(g.id)._1 == 0) {
