@@ -107,57 +107,65 @@ object BranchModel {
     hyper((x + m - r).toDouble, p.v.toDouble, m.toDouble, x.toDouble)
 
   /** Λ₁(τ,φ) = Pr[GBD=φ | GED=τ], Eq. (7) of Theorem 3: one entry of
-    * [[lambda1Row]].
+    * [[lambda1Matrix]] at τ̂ = τ.
     */
   def lambda1(tau: Int, phi: Int, p: ModelParams): Double = {
     require(tau >= 0 && phi >= 0, s"tau=$tau phi=$phi must be non-negative")
-    if (phi > 2L * tau) 0.0 else lambda1Row(tau, phi, p)._1(phi)
+    if (phi > 2L * tau) 0.0 else lambda1Matrix(tau, p)._1(tau)(phi)
   }
 
-  /** Λ₁(τ,φ) and its τ-derivative ∂Λ₁/∂τ (Eq. 17) for every φ ∈ [0, φMax]
-    * at one τ, in one pass over the terms of Eq. (7).
+  /** Λ₁(τ,φ) and its τ-derivative ∂Λ₁/∂τ (Eq. 17) for τ ∈ [0, τ̂] (rows) and
+    * φ ∈ [0, 2τ̂] (columns), the whole range where Λ₁ can be non-zero, in one
+    * pass over the terms of Eq. (7) per τ.
     *
     * Summation ranges follow Section 6.2: x ∈ [0,τ], m ∈ [0, min(2(τ−x), v)],
-    * r ∈ [max(x,m), min(x+m, v)]. Ω₁, Ω₂ and Ω₄ do not depend on φ, so
-    * (Ω₁, ∂Ω₁) is evaluated once per x, (Ω₂, ∂Ω₂) once per (x, m) and Ω₄
-    * once per (x, m, r) for the whole row, and Ω₃ once per (r, φ) — the
-    * reuse of the paper's Eq. (28). With S(φ) = Σ_r Ω₃·Ω₄, the
-    * derivative is Σ_x [∂Ω₁·Σ_m Ω₂·S + Ω₁·Σ_m ∂Ω₂·S]; an m is skipped only
-    * where Ω₂ and ∂Ω₂ are both zero. There is no τ = 0 shortcut: Λ₁(0, 0) = 1,
-    * but ∂Λ₁(0, 0) carries the ψ terms of ∂Ω₁ and ∂Ω₂. Both rows are zero
-    * for φ > 2τ, since r ≤ x + m ≤ 2τ and Ω₃ = 0 for φ > r.
+    * r ∈ [max(x,m), min(x+m, v)]. Only Ω₁ depends on τ itself: Ω₂ depends on
+    * τ−x alone and Ω₃, Ω₄ on neither. So Ω₃ is tabulated once per (r, φ),
+    * (Ω₂, ∂Ω₂) once per (τ−x, m) and Ω₄ once per (x, m, r) for the whole
+    * matrix, and (Ω₁, ∂Ω₁) is evaluated once per (τ, x) — the reuse of the
+    * paper's Eq. (28). With S(φ) = Σ_r Ω₃·Ω₄, the derivative is
+    * Σ_x [∂Ω₁·Σ_m Ω₂·S + Ω₁·Σ_m ∂Ω₂·S]; an m is skipped only where Ω₂ and
+    * ∂Ω₂ are both zero. There is no τ = 0 shortcut: Λ₁(0, 0) = 1, but
+    * ∂Λ₁(0, 0) carries the ψ terms of ∂Ω₁ and ∂Ω₂. Both rows are zero for
+    * φ > 2τ, since r ≤ x + m ≤ 2τ and Ω₃ = 0 for φ > r.
     */
-  def lambda1Row(tau: Int, phiMax: Int, p: ModelParams): (Array[Double], Array[Double]) = {
-    val row = new Array[Double](phiMax + 1)
-    val dRow = new Array[Double](phiMax + 1)
-    val top = math.min(phiMax, 2 * tau)
-    val o3 = Array.tabulate(math.min(2L * tau, p.v).toInt + 1, top + 1)(omega3(_, _, p))
-    for (x <- 0 to math.min(tau.toLong, p.v).toInt; (o1, d1) = omega1(x, tau, p) if o1 > 0) {
-      val accX = new Array[Double](top + 1)
-      val dAccX = new Array[Double](top + 1)
-      for (m <- 0 to math.min(2L * (tau - x), p.v).toInt; (o2, d2) = omega2(m, x, tau, p)
-           if o2 > 0 || d2 != 0) {
-        val accM = new Array[Double](top + 1)
-        for (r <- math.max(x, m) to math.min((x + m).toLong, p.v).toInt) {
-          val o4 = omega4(x, r, m, p)
-          for (phi <- 0 to math.min(top, r)) accM(phi) += o3(r)(phi) * o4
-        }
-        for (phi <- 0 to top) {
-          accX(phi) += o2 * accM(phi)
-          dAccX(phi) += d2 * accM(phi)
-        }
-      }
-      for (phi <- 0 to top) {
-        row(phi) += o1 * accX(phi)
-        dRow(phi) += d1 * accX(phi) + o1 * dAccX(phi)
+  def lambda1Matrix(tauHat: Int, p: ModelParams): (Array[Array[Double]], Array[Array[Double]]) = {
+    def upToV(n: Long): Int = math.min(n, p.v).toInt
+    val o3 = Array.tabulate(upToV(2L * tauHat) + 1, 2 * tauHat + 1)(omega3(_, _, p))
+    // Ω₂(m, x, τ) reads τ−x only, so x = 0, τ = τ−x gives its value.
+    val o2 = Array.tabulate(tauHat + 1)(xp => Array.tabulate(upToV(2L * xp) + 1)(omega2(_, 0, xp, p)))
+    // o4(x)(m)(i) = Ω₄(x, max(x, m) + i, m).
+    val o4 = Array.tabulate(upToV(tauHat) + 1) { x =>
+      Array.tabulate(upToV(2L * (tauHat - x)) + 1) { m =>
+        val lo = math.max(x, m)
+        Array.tabulate(upToV(x + m) - lo + 1)(i => omega4(x, lo + i, m, p))
       }
     }
-    (row, dRow)
+    val l1 = Array.ofDim[Double](tauHat + 1, 2 * tauHat + 1)
+    val dl1 = Array.ofDim[Double](tauHat + 1, 2 * tauHat + 1)
+    for (tau <- 0 to tauHat) {
+      val (row, dRow, top) = (l1(tau), dl1(tau), 2 * tau)
+      for (x <- 0 to upToV(tau); (o1, d1) = omega1(x, tau, p) if o1 > 0) {
+        val accX = new Array[Double](top + 1)
+        val dAccX = new Array[Double](top + 1)
+        for (m <- 0 to upToV(2L * (tau - x)); (o2m, d2m) = o2(tau - x)(m) if o2m > 0 || d2m != 0) {
+          val accM = new Array[Double](top + 1)
+          val (o4xm, lo) = (o4(x)(m), math.max(x, m))
+          for (i <- o4xm.indices) {
+            val r = lo + i
+            for (phi <- 0 to math.min(top, r)) accM(phi) += o3(r)(phi) * o4xm(i)
+          }
+          for (phi <- 0 to top) {
+            accX(phi) += o2m * accM(phi)
+            dAccX(phi) += d2m * accM(phi)
+          }
+        }
+        for (phi <- 0 to top) {
+          row(phi) += o1 * accX(phi)
+          dRow(phi) += d1 * accX(phi) + o1 * dAccX(phi)
+        }
+      }
+    }
+    (l1, dl1)
   }
-
-  /** Λ₁(τ,φ) and ∂Λ₁/∂τ for τ ∈ [0, τ̂] (rows) and φ ∈ [0, 2τ̂] (columns),
-    * the whole range where Λ₁ can be non-zero.
-    */
-  def lambda1Matrix(tauHat: Int, p: ModelParams): (Array[Array[Double]], Array[Array[Double]]) =
-    Array.tabulate(tauHat + 1)(lambda1Row(_, 2 * tauHat, p)).unzip
 }

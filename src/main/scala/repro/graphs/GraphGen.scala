@@ -160,7 +160,7 @@ object GraphGen {
       families: Int,
       d: Int,
       scaleFree: Boolean,
-      seed: Long = 11): KnownGedDataset = {
+      seed: Long): KnownGedDataset = {
     val rng = new Random(seed * 7919 + n)
     val edgeAlphabet = IndexedSeq.tabulate(SynEdgeLabels)(i => s"e$i")
     val graphs = Vector.newBuilder[LabeledGraph]

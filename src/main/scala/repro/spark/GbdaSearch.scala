@@ -1,7 +1,9 @@
 package repro.spark
 
 import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.types._
+import org.apache.spark.unsafe.types.UTF8String
 
 import repro.core._
 import repro.graphs.LabeledGraph
@@ -19,8 +21,9 @@ import scala.util.Random
   * the posterior `Φ(φ,v)` (Eq. 3) — mirroring the paper's fully parallel
   * offline processes (Section 7.2).
   *
-  * Online stage ([[search]]): a query is one `runJob` over the rows
-  * `(gid, nv, branches)` of the database DataFrame, whose closure carries
+  * Online stage ([[search]]): a query is one `runJob` over the internal
+  * rows `(gid, nv, branches)` of the database DataFrame — the plan the
+  * offline stage's pass over the rows also runs — whose closure carries
   * the model and the query's branch multiset; each row is scored by
   * [[Gbda.score]] — `φ = GBD(Q,G)` (two-pointer, O(nd)) and Φ by table
   * lookup — and kept if `Φ ≥ γ`.
@@ -63,12 +66,36 @@ object GbdaSearch {
 
   /** Every graph's `(gid, nv, branches)` in partition order, which is the
     * order [[GraphFrames.toBranchDf]] encoded them in, from one job over
-    * `graphs.rdd`. That is the RDD [[search]] runs over, so the plan made
-    * here is the one later queries reuse.
+    * `graphs.queryExecution.toRdd`. That is the plan [[search]] runs over, so
+    * the plan made here is the one later queries reuse.
+    *
+    * Each task ships its partition's distinct branches once, decoded from
+    * the internal rows, and each row's branches as ids into them; the driver
+    * maps the ids back, so rows that share a branch share its `String`.
     */
   def collectRows(graphs: DataFrame): Array[(Long, Int, Array[String])] =
-    graphs.sparkSession.sparkContext.runJob(graphs.rdd, (it: Iterator[Row]) =>
-      it.map(r => (r.getLong(0), r.getInt(1), r.getSeq[String](2).toArray)).toArray).flatten
+    graphs.sparkSession.sparkContext.runJob(graphs.queryExecution.toRdd, (it: Iterator[InternalRow]) => {
+      val ids = new java.util.HashMap[UTF8String, Integer]()
+      val distinct = Array.newBuilder[String]
+      val rows = it.map { r =>
+        val bs = r.getArray(2)
+        (r.getLong(0), r.getInt(1), Array.tabulate(bs.numElements()) { i =>
+          val b = bs.getUTF8String(i)
+          val id = ids.get(b)
+          if (id != null) id.intValue
+          else {
+            val fresh = ids.size
+            // Scan rows are reused, so a kept key must own its bytes.
+            ids.put(b.clone(), fresh)
+            distinct += b.toString
+            fresh
+          }
+        })
+      }.toArray
+      (distinct.result(), rows.map(_._1), rows.map(_._2), rows.map(_._3))
+    }).flatMap { case (distinct, gids, nvs, branchIds) =>
+      gids.indices.map(i => (gids(i), nvs(i), branchIds(i).map(distinct(_))))
+    }
 
   /** Offline Steps 1.1–1.3, the GBD prior: sample `nPairs` pairs of distinct
     * graphs from the sorted branch multisets `branches`, compute their GBDs
@@ -109,11 +136,13 @@ object GbdaSearch {
     *
     * The search is eager: it runs exactly one Spark job and returns its
     * hits as a local DataFrame, whose actions start no further job. The
-    * job runs over `graphs.rdd`, which Spark plans at its first use and
-    * keeps with the DataFrame, so cache `graphs` before the first search;
-    * later searches reuse that plan. A DataFrame unpersisted after its
-    * first search is still answered correctly, by recompute from its
-    * lineage.
+    * job runs over `graphs.queryExecution.toRdd`, the internal rows that
+    * [[collectRows]] (and so [[fitModel]]) also reads; each row's branches
+    * are decoded straight from its internal row, with no external `Row`.
+    * Spark plans that RDD at its first use and keeps it with the DataFrame,
+    * so cache `graphs` before the first fit or search; later ones reuse the
+    * plan. A DataFrame unpersisted after its first search is still answered
+    * correctly, by recompute from its lineage.
     *
     * @param graphs branch DataFrame from [[GraphFrames.toBranchDf]]
     */
@@ -123,9 +152,11 @@ object GbdaSearch {
     // database) fails Gbda.phi's check.
     val m = model.ensureVs(Seq(query.n.toLong))
     val (qn, qb) = (query.n, query.branches)
-    val hits = graphs.sparkSession.sparkContext.runJob(graphs.rdd, (it: Iterator[Row]) =>
+    val hits = graphs.sparkSession.sparkContext.runJob(graphs.queryExecution.toRdd, (it: Iterator[InternalRow]) =>
       it.flatMap { r =>
-        val (gbd, phi) = Gbda.score(r.getInt(1), r.getSeq[String](2).toArray, qn, qb, m)
+        val bs = r.getArray(2)
+        val branches = Array.tabulate(bs.numElements())(bs.getUTF8String(_).toString)
+        val (gbd, phi) = Gbda.score(r.getInt(1), branches, qn, qb, m)
         if (phi >= gamma) Some(Row(r.getLong(0), gbd, phi)) else None
       }.toArray)
     graphs.sparkSession.createDataFrame(hits.iterator.flatten.toSeq.asJava, hitSchema)

@@ -1,7 +1,6 @@
 package repro.spark
 
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
 
 import repro.graphs.LabeledGraph
@@ -56,13 +55,4 @@ object GraphFrames {
       "the branches field carries no alphabet sizes |L_V|, |L_E|: encode the graphs with GraphFrames.toBranchDf")
     (meta.getLong(VertexLabelsKey).toInt, meta.getLong(EdgeLabelsKey).toInt)
   }
-
-  /** Exploded per-branch counts `(gid, sig, cnt)` — the pure-Catalyst GBD
-    * path and the representation handed to the DuckDB oracle.
-    */
-  def branchCounts(dfWithBranches: DataFrame): DataFrame =
-    dfWithBranches
-      .select(col("gid"), explode(col("branches")).as("sig"))
-      .groupBy("gid", "sig")
-      .agg(count(lit(1)).as("cnt"))
 }

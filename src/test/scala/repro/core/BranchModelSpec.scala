@@ -46,12 +46,13 @@ class BranchModelSpec extends AnyFunSuite {
     assert(math.abs(lambda1(2, 3, pEx6) - expected) < 1e-12)
   }
 
-  test("lambda1Row equals the direct triple sum of Eq. (7)") {
-    for (v <- Seq(4L, 9L, 40L); tau <- 1 to 5) {
+  test("lambda1Matrix rows equal the direct triple sum of Eq. (7)") {
+    for (v <- Seq(4L, 9L, 40L)) {
       val p = ModelParams(v, 3, 2)
-      val (row, dRow) = lambda1Row(tau, 3 * tau + 1, p)
-      assert(row.length == 3 * tau + 2 && dRow.length == row.length)
-      for (phi <- row.indices) {
+      val (l1, dl1) = lambda1Matrix(5, p)
+      assert(l1.length == 6 && dl1.length == 6)
+      for (tau <- 1 to 5; phi <- 0 to 10) {
+        assert(l1(tau).length == 11 && dl1(tau).length == 11)
         var direct = 0.0
         var dDirect = 0.0
         for (x <- 0 to math.min(tau.toLong, v).toInt; m <- 0 to math.min(2L * (tau - x), v).toInt;
@@ -62,19 +63,68 @@ class BranchModelSpec extends AnyFunSuite {
           direct += o1 * o2 * o34
           dDirect += (d1 * o2 + o1 * d2) * o34
         }
-        assert(math.abs(row(phi) - direct) < 1e-13, s"v=$v tau=$tau phi=$phi")
-        assert(math.abs(dRow(phi) - dDirect) < 1e-13, s"v=$v tau=$tau phi=$phi d=${dRow(phi)} direct=$dDirect")
-        assert(lambda1(tau, phi, p) == row(phi), s"v=$v tau=$tau phi=$phi")
+        assert(math.abs(l1(tau)(phi) - direct) < 1e-13, s"v=$v tau=$tau phi=$phi")
+        assert(math.abs(dl1(tau)(phi) - dDirect) < 1e-13,
+          s"v=$v tau=$tau phi=$phi d=${dl1(tau)(phi)} direct=$dDirect")
+        assert(lambda1(tau, phi, p) == l1(tau)(phi), s"v=$v tau=$tau phi=$phi")
       }
     }
   }
 
   test("Lambda1 and its derivative vanish for phi > 2*tau") {
+    val (l1, dl1) = lambda1Matrix(8, pEx6)
     for (tau <- 1 to 4) {
-      val (row, dRow) = lambda1Row(tau, 3 * tau + 1, pEx6)
-      for (phi <- 2 * tau + 1 to 3 * tau + 1) {
-        assert(row(phi) == 0.0 && dRow(phi) == 0.0, s"tau=$tau phi=$phi")
+      for (phi <- 2 * tau + 1 to 16)
+        assert(l1(tau)(phi) == 0.0 && dl1(tau)(phi) == 0.0, s"tau=$tau phi=$phi")
+      for (phi <- 2 * tau + 1 to 3 * tau + 1)
         assert(lambda1(tau, phi, pEx6) == 0.0, s"tau=$tau phi=$phi")
+    }
+  }
+
+  /** Λ₁ and ∂Λ₁/∂τ at one τ for φ ∈ [0, φMax] by the per-τ pass of Eq. (7)
+    * that re-evaluates Ω₂, Ω₃ and Ω₄ for every τ: the reference that
+    * [[BranchModel.lambda1Matrix]]'s once-per-size tables must reproduce bit
+    * for bit, since they run the same accumulation in the same order.
+    */
+  private def lambda1RowPerTau(tau: Int, phiMax: Int, p: ModelParams): (Array[Double], Array[Double]) = {
+    val row = new Array[Double](phiMax + 1)
+    val dRow = new Array[Double](phiMax + 1)
+    val top = math.min(phiMax, 2 * tau)
+    val o3 = Array.tabulate(math.min(2L * tau, p.v).toInt + 1, top + 1)(omega3(_, _, p))
+    for (x <- 0 to math.min(tau.toLong, p.v).toInt; (o1, d1) = omega1(x, tau, p) if o1 > 0) {
+      val accX = new Array[Double](top + 1)
+      val dAccX = new Array[Double](top + 1)
+      for (m <- 0 to math.min(2L * (tau - x), p.v).toInt; (o2, d2) = omega2(m, x, tau, p)
+           if o2 > 0 || d2 != 0) {
+        val accM = new Array[Double](top + 1)
+        for (r <- math.max(x, m) to math.min((x + m).toLong, p.v).toInt) {
+          val o4 = omega4(x, r, m, p)
+          for (phi <- 0 to math.min(top, r)) accM(phi) += o3(r)(phi) * o4
+        }
+        for (phi <- 0 to top) {
+          accX(phi) += o2 * accM(phi)
+          dAccX(phi) += d2 * accM(phi)
+        }
+      }
+      for (phi <- 0 to top) {
+        row(phi) += o1 * accX(phi)
+        dRow(phi) += d1 * accX(phi) + o1 * dAccX(phi)
+      }
+    }
+    (row, dRow)
+  }
+
+  test("lambda1Matrix is bit-identical to the per-tau pass of Eq. (7)") {
+    for (v <- (1L to 60L) ++ Seq(100L, 2000L, 20000L, 100000L);
+         (nVL, nEL) <- Seq((1, 1), (10, 3), (50, 280)); tauHat <- Seq(0, 1, 5, 10)) {
+      val p = ModelParams(v, nVL, nEL)
+      val (l1, dl1) = lambda1Matrix(tauHat, p)
+      val (want, dWant) = Array.tabulate(tauHat + 1)(lambda1RowPerTau(_, 2 * tauHat, p)).unzip
+      assert(l1.length == tauHat + 1 && dl1.length == tauHat + 1)
+      for (tau <- 0 to tauHat) {
+        val at = s"v=$v alphabets=($nVL,$nEL) tauHat=$tauHat tau=$tau"
+        assert(java.util.Arrays.equals(l1(tau), want(tau)), s"$at: ${l1(tau).toSeq} != ${want(tau).toSeq}")
+        assert(java.util.Arrays.equals(dl1(tau), dWant(tau)), s"$at: ${dl1(tau).toSeq} != ${dWant(tau).toSeq}")
       }
     }
   }
@@ -274,7 +324,7 @@ class BranchModelSpec extends AnyFunSuite {
       assert(math.abs(fd - an) < 1e-4 * math.max(1.0, math.abs(an)), s"fd=$fd analytic=$an")
     }
 
-  // d log Lambda1 / d tau, taken from lambda1Row's derivative row as dRow / row.
+  // d log Lambda1 / d tau, taken from lambda1Matrix's derivative rows as dRow / row.
   test("dLogLambda1 matches finite difference of the continued Lambda1") {
     val p = ModelParams(6, 3, 3)
     def lambda1Cont(tauR: Double, tauInt: Int, phi: Int): Double = {
@@ -294,9 +344,10 @@ class BranchModelSpec extends AnyFunSuite {
     }
     val h = 1e-5
     // tau = 0 included: the derivative is not zero there (digamma terms).
+    val (l1, dl1) = lambda1Matrix(4, p)
     for (tau <- 0 to 4) {
-      val (row, dRow) = lambda1Row(tau, 2 * tau, p)
-      for (phi <- row.indices if row(phi) > 1e-12) {
+      val (row, dRow) = (l1(tau), dl1(tau))
+      for (phi <- 0 to 2 * tau if row(phi) > 1e-12) {
         val fd = (math.log(lambda1Cont(tau + h, tau, phi)) - math.log(lambda1Cont(tau - h, tau, phi))) / (2 * h)
         val an = dRow(phi) / row(phi)
         assert(math.abs(fd - an) < 1e-3 * math.max(1.0, math.abs(an)),

@@ -4,7 +4,7 @@ import org.apache.spark.sql.DataFrame
 import org.scalacheck.Gen
 import org.scalacheck.rng.Seed
 
-import repro.{Oracle, SparkSpec, TestGraphs}
+import repro.{CatalystGbd, Oracle, SparkSpec, TestGraphs}
 import repro.TestGraphs.{adversarialGraph, g1, g2, randomSmall}
 import repro.core.{Gbda, GbdaModel, Gmm}
 import repro.graphs.{Edge, GraphGen, LabeledGraph}
@@ -16,7 +16,7 @@ class GbdSparkSpec extends SparkSpec {
   private lazy val dbDf = GraphFrames.toBranchDf(spark, db).cache()
 
   test("gbdVsAllJoin (Catalyst path) equals the in-memory GBD for every graph") {
-    val got = GbdSpark.gbdVsAllJoin(dbDf, g1).collect()
+    val got = CatalystGbd.gbdVsAllJoin(dbDf, g1).collect()
       .map(r => r.getLong(0) -> r.getInt(1)).toMap
     db.foreach { g =>
       assert(got(g.id) == TestGraphs.gbd(g1, g), s"gid=${g.id}")
@@ -30,7 +30,7 @@ class GbdSparkSpec extends SparkSpec {
     for (q <- Seq(g1, g2, randomSmall(999, 10))) {
       val served = GbdaSearch.search(dbDf, model, q, gamma = 0.0).collect()
         .map(r => r.getLong(0) -> r.getInt(1)).toMap
-      val join = GbdSpark.gbdVsAllJoin(dbDf, q).collect().map(r => r.getLong(0) -> r.getInt(1)).toMap
+      val join = CatalystGbd.gbdVsAllJoin(dbDf, q).collect().map(r => r.getLong(0) -> r.getInt(1)).toMap
       assert(served.size == db.size, s"query ${q.id}")
       assert(served == join, s"query ${q.id}")
     }
@@ -40,12 +40,12 @@ class GbdSparkSpec extends SparkSpec {
     * branch tables.
     */
   private def assertJoinMatchesDuckDb(df: DataFrame, q: LabeledGraph): Unit = {
-    val bc = GraphFrames.branchCounts(df)
+    val bc = CatalystGbd.branchCounts(df)
     val qCounts = q.branches.groupBy(identity).toSeq.map { case (s, xs) => (s, xs.length) }
     import spark.implicits._
     val qDf = qCounts.toDF("sig", "qcnt")
     val gDf = df.select("gid", "nv")
-    val sparkRes = GbdSpark.gbdVsAllJoin(df, q)
+    val sparkRes = CatalystGbd.gbdVsAllJoin(df, q)
     Oracle.assertEquivalent(
       sparkRes,
       s"""SELECT CAST(g.gid AS BIGINT) AS gid,
@@ -71,7 +71,7 @@ class GbdSparkSpec extends SparkSpec {
     val model = GbdaSearch.fitModel(df, tauHat = 2, nPairs = 20)
     val served = GbdaSearch.search(df, model, q, gamma = 0.0).collect()
       .map(r => r.getLong(0) -> r.getInt(1)).toMap
-    val join = GbdSpark.gbdVsAllJoin(df, q).collect().map(r => r.getLong(0) -> r.getInt(1)).toMap
+    val join = CatalystGbd.gbdVsAllJoin(df, q).collect().map(r => r.getLong(0) -> r.getInt(1)).toMap
     assert(join(2L) == 3 && join(3L) == 0)
     assert(served == join)
     sepDb.foreach(g => assert(join(g.id) == TestGraphs.gbd(q, g), s"gid=${g.id}"))
@@ -98,6 +98,41 @@ class GbdSparkSpec extends SparkSpec {
       assert(java.util.Arrays.equals(got, want), s"${got.toSeq} != ${want.toSeq}")
   }
 
+  /** Asserts that [[GbdaSearch.collectRows]] returns `df.collect()`'s
+    * `(gid, nv, branches)`, in order.
+    */
+  private def assertRowsAreCollect(df: DataFrame): Unit = {
+    val want = df.collect().map(r => (r.getLong(0), r.getInt(1), r.getSeq[String](2)))
+    val got = GbdaSearch.collectRows(df).map { case (gid, nv, b) => (gid, nv, b.toSeq) }
+    assert(got.toSeq == want.toSeq)
+  }
+
+  test("collectRows equals collect() on graphs that share branches and carry multi-byte and separator labels") {
+    // Two-byte, three-byte and four-byte (non-BMP) UTF-8 next to "", "\\", "|" and ",".
+    val every = LabeledGraph(0L, Array("", "é", "中", "\uD83D\uDE00", "\\", "|", ","),
+      Array(Edge(0, 1, ","), Edge(1, 2, "|"), Edge(2, 3, "\\"), Edge(3, 4, ""), Edge(4, 5, "é"), Edge(5, 6, "\uD83D\uDE00")))
+    val drawn = every +: Gen.listOfN(12, adversarialGraph(0, 1, 6)).pureApply(Gen.Parameters.default, Seed(5L))
+    val multiByte = drawn.map(g => g.copy(vertexLabels = g.vertexLabels.map(l => if (l.isEmpty) "é中" else l)))
+    val shared = (drawn ++ multiByte ++ drawn).zipWithIndex.map { case (g, i) => g.copy(id = i.toLong) }
+    val all = shared.flatMap(_.branches)
+    assert(all.distinct.size < all.size / 2)
+    // Uncached, the scan reuses one row buffer; cached, it reads the columnar cache.
+    for (cached <- Seq(false, true)) {
+      val df = GraphFrames.toBranchDf(spark, shared)
+      if (cached) df.cache()
+      assertRowsAreCollect(df)
+      val rows = GbdaSearch.collectRows(df)
+      assert(rows.map(r => (r._1, r._2, r._3.toSeq)).toSeq == shared.map(g => (g.id, g.n, g.branches.toSeq)),
+        s"cached=$cached")
+      // Each partition ships a distinct branch once, so its rows share one String.
+      val instances = java.util.Collections.newSetFromMap(new java.util.IdentityHashMap[String, java.lang.Boolean])
+      rows.foreach(_._3.foreach(instances.add))
+      val perPartition = df.rdd.mapPartitions(it => Iterator(it.flatMap(_.getSeq[String](2)).toSet.size)).collect()
+      assert(instances.size == perPartition.sum, s"cached=$cached")
+      df.unpersist()
+    }
+  }
+
   test("the GBD prior's sample is pairwiseGbd's on the same pairs, and the fitted GMM is Gmm.fit of it") {
     assertPriorSampleIsPairwise(dbDf, GbdaSearch.fitModel(dbDf, tauHat = 3, nPairs = 100), nPairs = 100, seed = 7)
   }
@@ -117,6 +152,7 @@ class GbdSparkSpec extends SparkSpec {
     test(s"adversarial labels: served search = Gbda.search = gbdVsAllJoin = DuckDB (seed=$seed)") {
       val (advDb, queries) = adversarialCase.pureApply(Gen.Parameters.default, Seed(seed.toLong))
       val df = GraphFrames.toBranchDf(spark, advDb).cache()
+      assertRowsAreCollect(df)
       val model = GbdaSearch.fitModel(df, tauHat = 2, nPairs = 30, seed = seed.toLong)
       assertPriorSampleIsPairwise(df, model, nPairs = 30, seed = seed.toLong)
       // "" and U+0000 are labels like any other; an alphabet holds at least one.
@@ -126,7 +162,7 @@ class GbdSparkSpec extends SparkSpec {
       val withQueries = model.ensureVs(queries.map(_.n.toLong)) // a fresh query's size may be new
       for (q <- queries) {
         assertJoinMatchesDuckDb(df, q)
-        val join = GbdSpark.gbdVsAllJoin(df, q).collect().map(r => r.getLong(0) -> r.getInt(1))
+        val join = CatalystGbd.gbdVsAllJoin(df, q).collect().map(r => r.getLong(0) -> r.getInt(1))
         for (gamma <- Seq(0.0, 0.5, 0.9)) {
           val served = GbdaSearch.search(df, model, q, gamma).collect()
             .map(r => r.getLong(0) -> r.getInt(1)).toSet
@@ -158,7 +194,7 @@ class GbdSparkSpec extends SparkSpec {
     val ds = GraphGen.synSubset(n = 30, families = 2, d = 4, scaleFree = true, seed = 14)
     val df = GraphFrames.toBranchDf(spark, ds.graphs)
     val q = ds.graphs.head // family 0, variant 0 (the template)
-    val got = GbdSpark.gbdVsAllJoin(df, q).collect().map(r => r.getLong(0) -> r.getInt(1)).toMap
+    val got = CatalystGbd.gbdVsAllJoin(df, q).collect().map(r => r.getLong(0) -> r.getInt(1)).toMap
     ds.graphs.foreach { g =>
       assert(got(g.id) == TestGraphs.gbd(q, g))
       // within family 0: variant j differs in j edges around the center, so

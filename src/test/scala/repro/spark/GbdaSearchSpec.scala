@@ -125,7 +125,7 @@ class GbdaSearchSpec extends SparkSpec {
   test("4 threads searching one DataFrame at once get the sequential answers") {
     val queries = db.indices.by(4).map(db)
     val sequential = queries.map(q => served(dbDf, q, 0.5))
-    // A fresh DataFrame, so its first planning of `rdd` is also under contention.
+    // A fresh DataFrame, so its first planning of `queryExecution.toRdd` is also under contention.
     val df = GraphFrames.toBranchDf(spark, db).cache()
     val pool = Executors.newFixedThreadPool(4)
     try {
@@ -141,8 +141,8 @@ class GbdaSearchSpec extends SparkSpec {
     val ser = SparkEnv.get.closureSerializer.newInstance()
     for (size <- Seq(10, 4000)) {
       val df = GraphFrames.toBranchDf(spark, (1 to size).map(s => randomSmall(s, 8))).cache()
-      // df.rdd is also the RDD every search on df runs over.
-      for (p <- df.rdd.partitions)
+      // The RDD every search and every fit's pass over the rows of df runs over.
+      for (p <- df.queryExecution.toRdd.partitions)
         assert(ser.serialize(p).remaining < 2048, s"|D|=$size, partition ${p.index}")
       df.unpersist()
     }

@@ -3,7 +3,7 @@ package repro.spark
 import org.apache.spark.sql.functions.col
 import org.apache.spark.sql.types.Metadata
 
-import repro.SparkSpec
+import repro.{CatalystGbd, SparkSpec}
 import repro.TestGraphs.{g1, g2, randomSmall}
 import repro.graphs.LabeledGraph
 
@@ -48,14 +48,14 @@ class GraphFramesSpec extends SparkSpec {
 
   test("branchCounts explodes to one row per distinct branch with multiplicity") {
     val df = GraphFrames.toBranchDf(spark, Seq(g1))
-    val counts = GraphFrames.branchCounts(df).collect()
+    val counts = CatalystGbd.branchCounts(df).collect()
       .map(r => (r.getString(1), r.getLong(2))).toMap
     assert(counts == Map("A|y,y" -> 1L, "B|y,z" -> 1L, "C|y,z" -> 1L))
   }
 
   test("branchCounts multiplicities sum to |V| per graph") {
     val df = GraphFrames.toBranchDf(spark, graphs)
-    val sums = GraphFrames.branchCounts(df).groupBy("gid")
+    val sums = CatalystGbd.branchCounts(df).groupBy("gid")
       .sum("cnt").collect().map(r => r.getLong(0) -> r.getLong(1)).toMap
     graphs.foreach(g => assert(sums(g.id) == g.n.toLong, s"gid=${g.id}"))
   }
@@ -63,7 +63,7 @@ class GraphFramesSpec extends SparkSpec {
   test("branch multiplicities are counted (duplicate branches)") {
     val dup = LabeledGraph(42L, Array("A", "A", "A"), Array.empty)
     val df = GraphFrames.toBranchDf(spark, Seq(dup))
-    val counts = GraphFrames.branchCounts(df).collect()
+    val counts = CatalystGbd.branchCounts(df).collect()
       .map(r => (r.getString(1), r.getLong(2))).toMap
     assert(counts == Map("A|" -> 3L))
   }
