@@ -85,24 +85,25 @@ object Gbda {
   }
 
   /** Steps 3–4 for one database graph G against the query Q: returns
-    * `(φ, Φ)` with `φ = GBD(Q,G)` and Φ evaluated at the extended size
-    * `v = max(|V_Q|, |V_G|)`.
+    * `(φ, Φ)` with `φ = GBD(Q,G)` over the sorted branch ids of one
+    * dictionary ([[GbdaOps.gbdFromSortedIds]]) and Φ evaluated at the
+    * extended size `v = max(|V_Q|, |V_G|)`.
     */
-  def score(nv: Int, branches: Array[String], queryN: Int, queryBranches: Array[String],
+  def score(nv: Int, branches: Array[Int], queryN: Int, queryBranches: Array[Int],
       model: GbdaModel): (Int, Double) = {
-    val gbd = GbdaOps.gbdFromSortedBranches(branches, queryBranches)
+    val gbd = GbdaOps.gbdFromSortedIds(branches, queryBranches)
     (gbd, phi(gbd, math.max(nv, queryN).toLong, model))
   }
 
   /** Driver-side reference of the full Algorithm 1 loop over a database of
-    * (id, |V|, sorted branch multiset) triples; returns (id, gbd, Φ) for the
+    * (id, |V|, sorted branch ids) triples; returns (id, gbd, Φ) for the
     * graphs passing `Φ ≥ γ`. Used by tests as the ground truth for the
     * distributed search.
     */
   def search(
-      db: Seq[(Long, Int, Array[String])],
+      db: Seq[(Long, Int, Array[Int])],
       queryN: Int,
-      queryBranches: Array[String],
+      queryBranches: Array[Int],
       model: GbdaModel,
       gamma: Double): Seq[(Long, Int, Double)] = {
     val m = model.ensureVs(Seq(queryN.toLong))
@@ -113,18 +114,18 @@ object Gbda {
   }
 }
 
-/** The one label-multiset kernel, shared by the in-memory and Spark GBD
-  * paths, the LSAP/Greedy-Sort-GED substitution costs and the GED label
-  * bound. (Lives in `core` so `Gbda.search` has no dependency on the graph
-  * model.)
+/** The two multiset kernels. [[gbdFromSortedIds]] is GBD (Def. 4) for the
+  * served search, the fit and the driver reference, over dictionary-encoded
+  * branches; [[gbdFromSortedBranches]] is the same distance over strings, for
+  * the LSAP/Greedy-Sort-GED substitution costs and the GED label bound.
+  * (Lives in `core` so `Gbda.search` has no dependency on the graph model.)
   */
 object GbdaOps {
 
   /** Multiset distance max(|A|,|B|) − |A ∩ B| of two string arrays sorted by
     * `String.compareTo`: the fewest single-element changes (add, remove,
     * replace) turning A into B, by a two-pointer intersection — the
-    * O(max(|A|, |B|)) comparison bound the paper cites. On two branch
-    * multisets it is GBD (Def. 4).
+    * O(max(|A|, |B|)) comparison bound the paper cites.
     */
   def gbdFromSortedBranches(b1: Array[String], b2: Array[String]): Int = {
     var i = 0
@@ -135,6 +136,27 @@ object GbdaOps {
       if (c == 0) { inter += 1; i += 1; j += 1 }
       else if (c < 0) i += 1
       else j += 1
+    }
+    math.max(b1.length, b2.length) - inter
+  }
+
+  /** GBD (Def. 4) of two branch multisets given as sorted ids of one
+    * `repro.graphs.BranchDictionary`: max(|A|,|B|) − |A ∩ B| by the same
+    * two-pointer intersection. A negative id is a branch absent from the
+    * dictionary; it equals no branch, not even another absent one, since
+    * two absent branches may differ.
+    */
+  def gbdFromSortedIds(b1: Array[Int], b2: Array[Int]): Int = {
+    var i = 0
+    var j = 0
+    var inter = 0
+    while (i < b1.length && j < b2.length) {
+      val x = b1(i)
+      val y = b2(j)
+      if (x < y) i += 1
+      else if (x > y) j += 1
+      else if (x < 0) i += 1
+      else { inter += 1; i += 1; j += 1 }
     }
     math.max(b1.length, b2.length) - inter
   }

@@ -4,8 +4,8 @@ import org.apache.spark.sql.SparkSession
 
 import repro.baselines.{BipartiteGed, GraphTooLargeException, GreedyGed, Seriation}
 import repro.core.{Gbda, GbdaModel}
-import repro.graphs.{GraphGen, LabeledGraph}
-import repro.spark.GbdaSearch
+import repro.graphs.{BranchDictionary, GraphGen, LabeledGraph}
+import repro.spark.{GbdaSearch, GraphFrames}
 
 /** Online-stage efficiency tables (the paper's Figures 14–16, tabulated).
   *
@@ -13,10 +13,13 @@ import repro.spark.GbdaSearch
   * seriation strings) are pre-computed outside the timed region; the
   * per-pair cost matrix of LSAP/Greedy is inherently per-comparison and is
   * timed. Real sets time full queries (Q vs every G ∈ D), for GBDA both as
-  * the driver loop (`GBDA`) and as the served Spark search (`GBDA (Spark)`,
-  * `GbdaSearch.search(...).collect()` on the cached DataFrame); synthetic sets
-  * time sampled comparisons and report the per-comparison average, because
-  * an O(n³) Hungarian run at n=10³ is already seconds per pair.
+  * the driver loop over the served rows (`GBDA`, `Gbda.search` over
+  * `collectRows` with the query's ids from the database's dictionary) and as
+  * the served Spark search (`GBDA (Spark)`, `GbdaSearch.search(...).collect()`
+  * on the cached DataFrame); GBDA compares branch ids, as the served search
+  * does. Synthetic sets time sampled comparisons and report the
+  * per-comparison average, because an O(n³) Hungarian run at n=10³ is
+  * already seconds per pair.
   */
 object Efficiency {
 
@@ -29,23 +32,23 @@ object Efficiency {
   def realRows(spark: SparkSession, tauHats: Seq[Int] = Seq(1, 5, 10)): Seq[RealRow] =
     Datasets.realSets.flatMap { set =>
       val db = set.db
-      db.foreach(_.branches) // pre-compute stored structures
-      set.queries.foreach(_.branches)
-      val dbTriples = db.map(g => (g.id, g.n, g.branches))
+      set.queries.foreach(_.branches) // pre-compute stored structures
       def timed(method: String, tauHat: Int)(perQuery: LabeledGraph => Unit): RealRow = {
         val (_, ms) = TableText.timeMs(set.queries.foreach(perQuery))
         RealRow(set.cfg.name, method, tauHat, ms / set.queries.size)
       }
 
       // The served search, one Spark job per query, after one untimed query
-      // that plans it on graphsDf; then the driver loop.
+      // that plans it on graphsDf; then the driver loop over the served
+      // rows, each query's branches mapped to ids as the served search does.
       val gbdaRows = GbdaRuns.fitted(spark, db, set.queries, tauHats, nPairs = 2000) { (graphsDf, models) =>
         GbdaSearch.search(graphsDf, models.head._2, set.queries.head, gamma = 0.5).collect()
         val served = models.map { case (th, model) =>
           timed("GBDA (Spark)", th)(q => GbdaSearch.search(graphsDf, model, q, gamma = 0.5).collect())
         }
+        val (rows, dict) = (GbdaSearch.collectRows(graphsDf).toSeq, GraphFrames.dictionary(graphsDf))
         models.map { case (th, model) =>
-          timed("GBDA", th)(q => Gbda.search(dbTriples, q.n, q.branches, model, gamma = 0.5))
+          timed("GBDA", th)(q => Gbda.search(rows, q.n, dict.ids(q.branches), model, gamma = 0.5))
         } ++ served
       }
       val serStrings = db.map(g => (g, Seriation.seriationString(g))).toMap
@@ -88,9 +91,12 @@ object Efficiency {
       val gs = ds.graphs
       val samplePairs = Seq((gs(0), gs(5)), (gs(2), gs(7)), (gs(1), gs(9)))
 
-      // GBDA model: the GBD prior over the family's branches + the F and Φ rows at v=n.
+      // GBDA model: the GBD prior over the family's branch ids + the F and Φ
+      // rows at v=n. The ids are pre-computed, as the encoded database stores them.
+      val dict = BranchDictionary.of(gs.map(_.branches))
+      val ids = gs.map(g => g.id -> dict.ids(g.branches)).toMap
       val (nVL, nEL) = LabeledGraph.alphabetSizes(gs)
-      val gmm = GbdaSearch.fitGbdPrior(gs.map(_.branches).toArray, SynPriorPairs, seed)
+      val gmm = GbdaSearch.fitGbdPrior(gs.map(g => ids(g.id)).toArray, SynPriorPairs, seed)
       val model = GbdaModel(tauHat, nVL, nEL, gmm).ensureVs(Seq(n.toLong))
 
       val reps = if (n <= 500) 3 else 1
@@ -105,7 +111,7 @@ object Efficiency {
             case e: GraphTooLargeException => SynRow(dsName, n, method, None, e.getMessage)
           }
 
-      val gbdaRow = time("GBDA", Int.MaxValue)((a, b) => Gbda.score(a.n, a.branches, b.n, b.branches, model))
+      val gbdaRow = time("GBDA", Int.MaxValue)((a, b) => Gbda.score(a.n, ids(a.id), b.n, ids(b.id), model))
       val lsapRow = time("LSAP", LsapMaxN)((a, b) => BipartiteGed.estimateHungarian(a, b))
       val greedyRow = time("Greedy-Sort-GED", GreedyMaxN)((a, b) => GreedyGed.estimate(a, b))
       // pre-compute the per-graph accessory structure only for sampled graphs

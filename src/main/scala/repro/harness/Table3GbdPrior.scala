@@ -36,7 +36,8 @@ object Table3GbdPrior {
   def rows(spark: SparkSession, nPairsReal: Int = 2000, nPairsSyn: Int = 500): Seq[Row] = {
     val real = Datasets.realSets.map(s => run(spark, s.cfg.name, s.db, nPairsReal))
     val syn = Seq(true, false).map { sf =>
-      val db = Datasets.synLite(sf).flatMap(_._2.graphs)
+      // Each subset numbers its graphs from 0, so their union is renumbered.
+      val db = Datasets.synLite(sf).flatMap(_._2.graphs).zipWithIndex.map { case (g, i) => g.copy(id = i.toLong) }
       run(spark, if (sf) "Syn-1-lite" else "Syn-2-lite", db, nPairsSyn)
     }
     real ++ syn

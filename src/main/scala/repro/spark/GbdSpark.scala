@@ -7,9 +7,10 @@ import repro.core.GbdaOps
 
 /** Distributed pairwise GBD (Def. 4) over graph-dataset DataFrames:
   * [[pairwiseGbd]] runs the two-pointer kernel (the O(nd) algorithm of
-  * Section 3) over an explicit pair list, as a shuffle join. It is the
-  * reference that the GBD prior's sample ([[GbdaSearch.fitModel]], which
-  * computes the sampled pairs' GBDs on the driver) is checked against.
+  * Section 3) over the branch ids of an explicit pair list, as a shuffle
+  * join. It is the reference that the GBD prior's sample
+  * ([[GbdaSearch.fitModel]], which computes the sampled pairs' GBDs on the
+  * driver) is checked against.
   */
 object GbdSpark {
 
@@ -18,8 +19,8 @@ object GbdSpark {
     * reference for [[GbdaSearch.fitGbdPrior]]'s sample.
     */
   def pairwiseGbd(graphs: DataFrame, pairs: DataFrame): DataFrame = {
-    val gbdUdf = udf { (b1: Seq[String], b2: Seq[String]) =>
-      GbdaOps.gbdFromSortedBranches(b1.toArray, b2.toArray)
+    val gbdUdf = udf { (b1: Seq[Int], b2: Seq[Int]) =>
+      GbdaOps.gbdFromSortedIds(b1.toArray, b2.toArray)
     }
     val left = graphs.select(col("gid").as("gid1"), col("branches").as("b1"))
     val right = graphs.select(col("gid").as("gid2"), col("branches").as("b2"))

@@ -1,9 +1,9 @@
 package repro.spark
 
+import org.apache.spark.TaskContext
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.types._
-import org.apache.spark.unsafe.types.UTF8String
 
 import repro.core._
 import repro.graphs.LabeledGraph
@@ -23,10 +23,10 @@ import scala.util.Random
   *
   * Online stage ([[search]]): a query is one `runJob` over the internal
   * rows `(gid, nv, branches)` of the database DataFrame — the plan the
-  * offline stage's pass over the rows also runs — whose closure carries
-  * the model and the query's branch multiset; each row is scored by
-  * [[Gbda.score]] — `φ = GBD(Q,G)` (two-pointer, O(nd)) and Φ by table
-  * lookup — and kept if `Φ ≥ γ`.
+  * offline stage's pass over the rows also runs — whose task function
+  * carries the model and the query's branch multiset as dictionary ids;
+  * each row is scored by [[Gbda.score]] — `φ = GBD(Q,G)` (two-pointer over
+  * ids, O(nd)) and Φ by table lookup — and kept if `Φ ≥ γ`.
   */
 object GbdaSearch {
 
@@ -64,53 +64,29 @@ object GbdaSearch {
       .collect())
   }
 
-  /** Every graph's `(gid, nv, branches)` in partition order, which is the
-    * order [[GraphFrames.toBranchDf]] encoded them in, from one job over
+  /** Every graph's `(gid, nv, branch ids)` in partition order, which is
+    * the order [[GraphFrames.toBranchDf]] encoded them in, from one job over
     * `graphs.queryExecution.toRdd`. That is the plan [[search]] runs over, so
     * the plan made here is the one later queries reuse.
-    *
-    * Each task ships its partition's distinct branches once, decoded from
-    * the internal rows, and each row's branches as ids into them; the driver
-    * maps the ids back, so rows that share a branch share its `String`.
     */
-  def collectRows(graphs: DataFrame): Array[(Long, Int, Array[String])] =
-    graphs.sparkSession.sparkContext.runJob(graphs.queryExecution.toRdd, (it: Iterator[InternalRow]) => {
-      val ids = new java.util.HashMap[UTF8String, Integer]()
-      val distinct = Array.newBuilder[String]
-      val rows = it.map { r =>
-        val bs = r.getArray(2)
-        (r.getLong(0), r.getInt(1), Array.tabulate(bs.numElements()) { i =>
-          val b = bs.getUTF8String(i)
-          val id = ids.get(b)
-          if (id != null) id.intValue
-          else {
-            val fresh = ids.size
-            // Scan rows are reused, so a kept key must own its bytes.
-            ids.put(b.clone(), fresh)
-            distinct += b.toString
-            fresh
-          }
-        })
-      }.toArray
-      (distinct.result(), rows.map(_._1), rows.map(_._2), rows.map(_._3))
-    }).flatMap { case (distinct, gids, nvs, branchIds) =>
-      gids.indices.map(i => (gids(i), nvs(i), branchIds(i).map(distinct(_))))
-    }
+  def collectRows(graphs: DataFrame): Array[(Long, Int, Array[Int])] =
+    graphs.sparkSession.sparkContext.runJob(graphs.queryExecution.toRdd, (it: Iterator[InternalRow]) =>
+      it.map(r => (r.getLong(0), r.getInt(1), r.getArray(2).toIntArray())).toArray).flatten
 
   /** Offline Steps 1.1–1.3, the GBD prior: sample `nPairs` pairs of distinct
-    * graphs from the sorted branch multisets `branches`, compute their GBDs
-    * with the two-pointer kernel and fit a [[GmmComponents]]-component GMM
-    * to them.
+    * graphs from the sorted branch-id multisets `branches`, compute their
+    * GBDs with the two-pointer kernel and fit a [[GmmComponents]]-component
+    * GMM to them.
     */
-  def fitGbdPrior(branches: Array[Array[String]], nPairs: Int, seed: Long): Gmm =
+  def fitGbdPrior(branches: Array[Array[Int]], nPairs: Int, seed: Long): Gmm =
     Gmm.fit(gbdSample(branches, nPairs, seed), GmmComponents)
 
   /** The GBDs of the pairs [[samplePairs]] draws, sorted, so that the GMM
     * depends only on the sampled multiset and not on any row order.
     */
-  private[spark] def gbdSample(branches: Array[Array[String]], nPairs: Int, seed: Long): Array[Double] =
+  private[spark] def gbdSample(branches: Array[Array[Int]], nPairs: Int, seed: Long): Array[Double] =
     samplePairs(branches.length, nPairs, seed)
-      .map { case (i, j) => GbdaOps.gbdFromSortedBranches(branches(i), branches(j)).toDouble }
+      .map { case (i, j) => GbdaOps.gbdFromSortedIds(branches(i), branches(j)).toDouble }
       .sorted
 
   /** `nPairs` uniformly drawn index pairs `(i, j)` of distinct graphs among `n`. */
@@ -136,12 +112,14 @@ object GbdaSearch {
     *
     * The search is eager: it runs exactly one Spark job and returns its
     * hits as a local DataFrame, whose actions start no further job. The
-    * job runs over `graphs.queryExecution.toRdd`, the internal rows that
-    * [[collectRows]] (and so [[fitModel]]) also reads; each row's branches
-    * are decoded straight from its internal row, with no external `Row`.
-    * Spark plans that RDD at its first use and keeps it with the DataFrame,
-    * so cache `graphs` before the first fit or search; later ones reuse the
-    * plan. A DataFrame unpersisted after its first search is still answered
+    * driver maps the query's branches to ids of the database's dictionary
+    * once (a branch no graph has becomes −1). The job runs over
+    * `graphs.queryExecution.toRdd`, the internal rows that [[collectRows]]
+    * (and so [[fitModel]]) also reads; each row's branch ids are copied
+    * straight from its internal row, with no external `Row`. Spark plans
+    * that RDD at its first use and keeps it with the DataFrame, so cache
+    * `graphs` before the first fit or search; later ones reuse the plan. A
+    * DataFrame unpersisted after its first search is still answered
     * correctly, by recompute from its lineage.
     *
     * @param graphs branch DataFrame from [[GraphFrames.toBranchDf]]
@@ -151,14 +129,24 @@ object GbdaSearch {
     // missing when it is |V_Q|; any other gap (a model fitted on another
     // database) fails Gbda.phi's check.
     val m = model.ensureVs(Seq(query.n.toLong))
-    val (qn, qb) = (query.n, query.branches)
-    val hits = graphs.sparkSession.sparkContext.runJob(graphs.queryExecution.toRdd, (it: Iterator[InternalRow]) =>
-      it.flatMap { r =>
-        val bs = r.getArray(2)
-        val branches = Array.tabulate(bs.numElements())(bs.getUTF8String(_).toString)
-        val (gbd, phi) = Gbda.score(r.getInt(1), branches, qn, qb, m)
-        if (phi >= gamma) Some(Row(r.getLong(0), gbd, phi)) else None
-      }.toArray)
+    val task = new ScoreRows(query.n, GraphFrames.dictionary(graphs).ids(query.branches), m, gamma)
+    val hits = graphs.sparkSession.sparkContext.runJob(graphs.queryExecution.toRdd, task)
     graphs.sparkSession.createDataFrame(hits.iterator.flatten.toSeq.asJava, hitSchema)
+  }
+
+  /** The task of one served query: scores each internal row of a partition
+    * against the query's size and branch ids and keeps the rows with
+    * `Φ ≥ γ`. A named class taking the task context, not a lambda: Spark's
+    * closure cleaner re-reads the bytecode of a lambda's enclosing class on
+    * every job (and `runJob` wraps a one-argument function in a lambda of
+    * its own), which cost the driver more per query than scoring the rows.
+    */
+  private final class ScoreRows(queryN: Int, queryBranches: Array[Int], model: GbdaModel, gamma: Double)
+      extends ((TaskContext, Iterator[InternalRow]) => Array[Row]) with Serializable {
+    def apply(context: TaskContext, rows: Iterator[InternalRow]): Array[Row] =
+      rows.flatMap { r =>
+        val (gbd, phi) = Gbda.score(r.getInt(1), r.getArray(2).toIntArray(), queryN, queryBranches, model)
+        if (phi >= gamma) Some(Row(r.getLong(0), gbd, phi)) else None
+      }.toArray
   }
 }

@@ -1,6 +1,6 @@
 package repro
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
 import repro.graphs.LabeledGraph
@@ -10,15 +10,24 @@ import repro.graphs.LabeledGraph
   * ([[Oracle]]) checks it with the same SQL, and the served search
   * (`repro.spark.GbdaSearch.search`) is checked against it, which closes
   * the chain served search ≡ `Gbda.search` ≡ [[gbdVsAllJoin]] ≡ DuckDB.
+  *
+  * Its rows are built from each graph's `LabeledGraph.branches` strings,
+  * not from the branch ids of `repro.spark.GraphFrames.toBranchDf`, so the
+  * check is independent of the encoder's dictionary.
   */
 object CatalystGbd {
 
-  /** Exploded per-branch counts `(gid, sig, cnt)` of a branch DataFrame
-    * from `repro.spark.GraphFrames.toBranchDf`: the representation handed to
-    * the DuckDB oracle.
+  /** `(gid, nv, branches: array<string>)` of `graphs`, from `LabeledGraph.branches`. */
+  private def stringRows(spark: SparkSession, graphs: Seq[LabeledGraph]): DataFrame = {
+    import spark.implicits._
+    graphs.map(g => (g.id, g.n, g.branches.toSeq)).toDF("gid", "nv", "branches")
+  }
+
+  /** Exploded per-branch counts `(gid, sig, cnt)` of `graphs`: the
+    * representation handed to the DuckDB oracle.
     */
-  def branchCounts(dfWithBranches: DataFrame): DataFrame =
-    dfWithBranches
+  def branchCounts(spark: SparkSession, graphs: Seq[LabeledGraph]): DataFrame =
+    stringRows(spark, graphs)
       .select(col("gid"), explode(col("branches")).as("sig"))
       .groupBy("gid", "sig")
       .agg(count(lit(1)).as("cnt"))
@@ -26,17 +35,16 @@ object CatalystGbd {
   /** GBD(Q, G) for every graph G: explode → groupBy → broadcast join →
     * Σ min(cnt, qcnt). Returns `(gid, gbd)`.
     */
-  def gbdVsAllJoin(graphs: DataFrame, query: LabeledGraph): DataFrame = {
-    val spark = graphs.sparkSession
+  def gbdVsAllJoin(spark: SparkSession, graphs: Seq[LabeledGraph], query: LabeledGraph): DataFrame = {
     import spark.implicits._
     val qCounts = query.branches.toSeq
       .groupBy(identity).map { case (s, xs) => (s, xs.size.toLong) }.toSeq
     val qDf = qCounts.toDF("sig", "qcnt")
-    val inter = branchCounts(graphs)
+    val inter = branchCounts(spark, graphs)
       .join(broadcast(qDf), "sig")
       .groupBy("gid")
       .agg(sum(least(col("cnt"), col("qcnt"))).as("inter"))
-    graphs.select("gid", "nv")
+    stringRows(spark, graphs).select("gid", "nv")
       .join(inter, Seq("gid"), "left_outer")
       .select(
         col("gid"),

@@ -25,6 +25,15 @@ object TestGraphs {
   def gbd(a: LabeledGraph, b: LabeledGraph): Int =
     GbdaOps.gbdFromSortedBranches(a.branches, b.branches)
 
+  /** Decodes branch ids of the database `graphs` without the encoder's
+    * dictionary: an id is the rank of its signature among the database's
+    * distinct branches, sorted by `String.compareTo`.
+    */
+  def branchDecoder(graphs: Seq[LabeledGraph]): Seq[Int] => Seq[String] = {
+    val sigs = graphs.flatMap(_.branches).distinct.sorted.toIndexedSeq
+    ids => ids.map(sigs)
+  }
+
   /** A graph of `n` vertices labelled `A` and no edges: cheap to build at
     * any size, so it trips the baselines' size guards before they allocate.
     */

@@ -90,10 +90,11 @@ class GbdaCoreSpec extends AnyFunSuite {
 
   test("search keeps exactly the graphs with phi >= gamma") {
     val m = model(3, Seq(4L, 5L))
-    val b1 = Array("A|x", "B|x", "C|y,z")         // some sorted branch multisets
-    val b2 = Array("A|x", "B|x", "B|y", "C|y,z")
-    val b3 = Array("Q|q", "R|r", "S|s")
-    val q = Array("A|x", "B|x", "C|y,z")
+    // sorted branch-id multisets: A|x=0, B|x=1, B|y=2, C|y,z=3, Q|q=4, R|r=5, S|s=6
+    val b1 = Array(0, 1, 3)
+    val b2 = Array(0, 1, 2, 3)
+    val b3 = Array(4, 5, 6)
+    val q = Array(0, 1, 3)
     val db = Seq((1L, 3, b1), (2L, 4, b2), (3L, 3, b3))
     val all = Gbda.search(db, 3, q, m, gamma = 0.0)
     assert(all.map(_._1) == Seq(1L, 2L, 3L))
@@ -135,5 +136,29 @@ class GbdaCoreSpec extends AnyFunSuite {
     import GbdaOps.gbdFromSortedBranches
     assert(gbdFromSortedBranches(Array("a", "a", "a"), Array("a")) == 2)
     assert(gbdFromSortedBranches(Array("a", "a"), Array("a", "a", "a", "a")) == 2)
+  }
+
+  test("gbdFromSortedIds: multisets, and absent (negative) ids equal to nothing") {
+    import GbdaOps.gbdFromSortedIds
+    val a = Array(0, 1, 1, 2)
+    assert(gbdFromSortedIds(a, a) == 0)
+    assert(gbdFromSortedIds(a, Array(1, 1, 3)) == 2)
+    assert(gbdFromSortedIds(Array(0, 0, 0), Array(0)) == 2)
+    assert(gbdFromSortedIds(Array.empty[Int], a) == 4)
+    assert(gbdFromSortedIds(a, Array.empty[Int]) == 4)
+    assert(gbdFromSortedIds(Array(-1, -1, 0), a) == 3)
+    assert(gbdFromSortedIds(Array(-1, -1), Array(-1, -1)) == 2)
+  }
+
+  test("gbdFromSortedIds over dictionary ids equals gbdFromSortedBranches over the strings") {
+    val rng = new scala.util.Random(3)
+    def multiset(alphabet: Int): Array[String] =
+      Array.fill(rng.nextInt(8))(s"b${rng.nextInt(alphabet)}").sorted
+    for (_ <- 1 to 500) {
+      val (x, y) = (multiset(6), multiset(9)) // y may hold branches the dictionary of x lacks
+      val dict = repro.graphs.BranchDictionary.of(Seq(x))
+      assert(GbdaOps.gbdFromSortedIds(dict.ids(x), dict.ids(y)) == GbdaOps.gbdFromSortedBranches(x, y),
+        s"${x.toSeq} ${y.toSeq}")
+    }
   }
 }

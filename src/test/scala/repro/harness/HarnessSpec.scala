@@ -4,6 +4,7 @@ import repro.SparkSpec
 import repro.core.Gbda
 import repro.ged.ExactGed
 import repro.graphs.GraphGen
+import repro.spark.GraphFrames
 
 class HarnessSpec extends SparkSpec {
 
@@ -66,11 +67,12 @@ class HarnessSpec extends SparkSpec {
     val tauHats = Seq(1, 3, 5)
     GbdaRuns.fitted(spark, tinySet.db, tinySet.queries, tauHats, nPairs = 200) { (df, models) =>
       assert(models.map(_._1) == tauHats)
+      val dict = GraphFrames.dictionary(df)
       models.foreach { case (th, model) =>
         val phis = GbdaRuns.phis(df, model, tinySet.queries)
         assert(phis.size == tinySet.queries.size * tinySet.db.size, s"tauHat=$th")
         for (q <- tinySet.queries; g <- tinySet.db)
-          assert(phis((q.id, g.id)) == Gbda.score(g.n, g.branches, q.n, q.branches, model)._2,
+          assert(phis((q.id, g.id)) == Gbda.score(g.n, dict.ids(g.branches), q.n, dict.ids(q.branches), model)._2,
             s"tauHat=$th q=${q.id} g=${g.id}")
       }
     }

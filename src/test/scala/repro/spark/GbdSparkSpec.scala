@@ -16,7 +16,7 @@ class GbdSparkSpec extends SparkSpec {
   private lazy val dbDf = GraphFrames.toBranchDf(spark, db).cache()
 
   test("gbdVsAllJoin (Catalyst path) equals the in-memory GBD for every graph") {
-    val got = CatalystGbd.gbdVsAllJoin(dbDf, g1).collect()
+    val got = CatalystGbd.gbdVsAllJoin(spark, db, g1).collect()
       .map(r => r.getLong(0) -> r.getInt(1)).toMap
     db.foreach { g =>
       assert(got(g.id) == TestGraphs.gbd(g1, g), s"gid=${g.id}")
@@ -30,22 +30,22 @@ class GbdSparkSpec extends SparkSpec {
     for (q <- Seq(g1, g2, randomSmall(999, 10))) {
       val served = GbdaSearch.search(dbDf, model, q, gamma = 0.0).collect()
         .map(r => r.getLong(0) -> r.getInt(1)).toMap
-      val join = CatalystGbd.gbdVsAllJoin(dbDf, q).collect().map(r => r.getLong(0) -> r.getInt(1)).toMap
+      val join = CatalystGbd.gbdVsAllJoin(spark, db, q).collect().map(r => r.getLong(0) -> r.getInt(1)).toMap
       assert(served.size == db.size, s"query ${q.id}")
       assert(served == join, s"query ${q.id}")
     }
   }
 
-  /** Checks `gbdVsAllJoin(df, q)` against DuckDB SQL over the exploded
+  /** Checks `gbdVsAllJoin(graphs, q)` against DuckDB SQL over the exploded
     * branch tables.
     */
-  private def assertJoinMatchesDuckDb(df: DataFrame, q: LabeledGraph): Unit = {
-    val bc = CatalystGbd.branchCounts(df)
+  private def assertJoinMatchesDuckDb(graphs: Seq[LabeledGraph], q: LabeledGraph): Unit = {
+    val bc = CatalystGbd.branchCounts(spark, graphs)
     val qCounts = q.branches.groupBy(identity).toSeq.map { case (s, xs) => (s, xs.length) }
     import spark.implicits._
     val qDf = qCounts.toDF("sig", "qcnt")
-    val gDf = df.select("gid", "nv")
-    val sparkRes = CatalystGbd.gbdVsAllJoin(df, q)
+    val gDf = graphs.map(g => (g.id, g.n)).toDF("gid", "nv")
+    val sparkRes = CatalystGbd.gbdVsAllJoin(spark, graphs, q)
     Oracle.assertEquivalent(
       sparkRes,
       s"""SELECT CAST(g.gid AS BIGINT) AS gid,
@@ -59,7 +59,7 @@ class GbdSparkSpec extends SparkSpec {
   }
 
   test("gbdVsAllJoin result matches DuckDB SQL over the exploded branch tables (Oracle)") {
-    assertJoinMatchesDuckDb(dbDf, g1)
+    assertJoinMatchesDuckDb(db, g1)
   }
 
   test("an edge label containing ',' gives the Def. 4 GBD on every distributed path") {
@@ -71,11 +71,11 @@ class GbdSparkSpec extends SparkSpec {
     val model = GbdaSearch.fitModel(df, tauHat = 2, nPairs = 20)
     val served = GbdaSearch.search(df, model, q, gamma = 0.0).collect()
       .map(r => r.getLong(0) -> r.getInt(1)).toMap
-    val join = CatalystGbd.gbdVsAllJoin(df, q).collect().map(r => r.getLong(0) -> r.getInt(1)).toMap
+    val join = CatalystGbd.gbdVsAllJoin(spark, sepDb, q).collect().map(r => r.getLong(0) -> r.getInt(1)).toMap
     assert(join(2L) == 3 && join(3L) == 0)
     assert(served == join)
     sepDb.foreach(g => assert(join(g.id) == TestGraphs.gbd(q, g), s"gid=${g.id}"))
-    assertJoinMatchesDuckDb(df, q)
+    assertJoinMatchesDuckDb(sepDb, q)
   }
 
   /** Asserts that the GBD prior sample of a fit on `df` (`nPairs` pairs drawn
@@ -99,12 +99,16 @@ class GbdSparkSpec extends SparkSpec {
   }
 
   /** Asserts that [[GbdaSearch.collectRows]] returns `df.collect()`'s
-    * `(gid, nv, branches)`, in order.
+    * `(gid, nv, branches)`, in order, and that the branch ids of `df`, the
+    * encoding of `graphs`, decode to each graph's own sorted branches.
     */
-  private def assertRowsAreCollect(df: DataFrame): Unit = {
-    val want = df.collect().map(r => (r.getLong(0), r.getInt(1), r.getSeq[String](2)))
-    val got = GbdaSearch.collectRows(df).map { case (gid, nv, b) => (gid, nv, b.toSeq) }
-    assert(got.toSeq == want.toSeq)
+  private def assertRowsAreCollect(df: DataFrame, graphs: Seq[LabeledGraph]): Unit = {
+    val want = df.collect().map(r => (r.getLong(0), r.getInt(1), r.getSeq[Int](2)))
+    val rows = GbdaSearch.collectRows(df)
+    assert(rows.map { case (gid, nv, b) => (gid, nv, b.toSeq) }.toSeq == want.toSeq)
+    val decode = TestGraphs.branchDecoder(graphs)
+    assert(rows.map { case (gid, nv, b) => (gid, nv, decode(b.toSeq)) }.toSeq ==
+      graphs.map(g => (g.id, g.n, g.branches.toSeq)))
   }
 
   test("collectRows equals collect() on graphs that share branches and carry multi-byte and separator labels") {
@@ -120,15 +124,7 @@ class GbdSparkSpec extends SparkSpec {
     for (cached <- Seq(false, true)) {
       val df = GraphFrames.toBranchDf(spark, shared)
       if (cached) df.cache()
-      assertRowsAreCollect(df)
-      val rows = GbdaSearch.collectRows(df)
-      assert(rows.map(r => (r._1, r._2, r._3.toSeq)).toSeq == shared.map(g => (g.id, g.n, g.branches.toSeq)),
-        s"cached=$cached")
-      // Each partition ships a distinct branch once, so its rows share one String.
-      val instances = java.util.Collections.newSetFromMap(new java.util.IdentityHashMap[String, java.lang.Boolean])
-      rows.foreach(_._3.foreach(instances.add))
-      val perPartition = df.rdd.mapPartitions(it => Iterator(it.flatMap(_.getSeq[String](2)).toSet.size)).collect()
-      assert(instances.size == perPartition.sum, s"cached=$cached")
+      assertRowsAreCollect(df, shared)
       df.unpersist()
     }
   }
@@ -152,7 +148,8 @@ class GbdSparkSpec extends SparkSpec {
     test(s"adversarial labels: served search = Gbda.search = gbdVsAllJoin = DuckDB (seed=$seed)") {
       val (advDb, queries) = adversarialCase.pureApply(Gen.Parameters.default, Seed(seed.toLong))
       val df = GraphFrames.toBranchDf(spark, advDb).cache()
-      assertRowsAreCollect(df)
+      assertRowsAreCollect(df, advDb)
+      val dict = GraphFrames.dictionary(df)
       val model = GbdaSearch.fitModel(df, tauHat = 2, nPairs = 30, seed = seed.toLong)
       assertPriorSampleIsPairwise(df, model, nPairs = 30, seed = seed.toLong)
       // "" and U+0000 are labels like any other; an alphabet holds at least one.
@@ -161,12 +158,16 @@ class GbdSparkSpec extends SparkSpec {
       val nv = advDb.map(g => g.id -> g.n).toMap
       val withQueries = model.ensureVs(queries.map(_.n.toLong)) // a fresh query's size may be new
       for (q <- queries) {
-        assertJoinMatchesDuckDb(df, q)
-        val join = CatalystGbd.gbdVsAllJoin(df, q).collect().map(r => r.getLong(0) -> r.getInt(1))
+        assertJoinMatchesDuckDb(advDb, q)
+        val byId = advDb.map(g => g.id -> g).toMap
+        GbdaSearch.search(df, model, q, 0.0).collect().foreach { r =>
+          assert(r.getInt(1) == TestGraphs.gbd(q, byId(r.getLong(0))), s"query=${q.id} gid=${r.getLong(0)}")
+        }
+        val join = CatalystGbd.gbdVsAllJoin(spark, advDb, q).collect().map(r => r.getLong(0) -> r.getInt(1))
         for (gamma <- Seq(0.0, 0.5, 0.9)) {
           val served = GbdaSearch.search(df, model, q, gamma).collect()
             .map(r => r.getLong(0) -> r.getInt(1)).toSet
-          val ref = Gbda.search(advDb.map(g => (g.id, g.n, g.branches)), q.n, q.branches, model, gamma)
+          val ref = Gbda.search(advDb.map(g => (g.id, g.n, dict.ids(g.branches))), q.n, dict.ids(q.branches), model, gamma)
             .map(t => t._1 -> t._2).toSet
           val viaJoin = join.filter { case (gid, gbd) =>
             Gbda.phi(gbd, math.max(nv(gid), q.n).toLong, withQueries) >= gamma
@@ -194,7 +195,10 @@ class GbdSparkSpec extends SparkSpec {
     val ds = GraphGen.synSubset(n = 30, families = 2, d = 4, scaleFree = true, seed = 14)
     val df = GraphFrames.toBranchDf(spark, ds.graphs)
     val q = ds.graphs.head // family 0, variant 0 (the template)
-    val got = CatalystGbd.gbdVsAllJoin(df, q).collect().map(r => r.getLong(0) -> r.getInt(1)).toMap
+    val got = CatalystGbd.gbdVsAllJoin(spark, ds.graphs, q).collect().map(r => r.getLong(0) -> r.getInt(1)).toMap
+    import spark.implicits._
+    val pairs = ds.graphs.map(g => (q.id, g.id)).toDF("gid1", "gid2")
+    assert(GbdSpark.pairwiseGbd(df, pairs).collect().map(r => r.getLong(1) -> r.getInt(2)).toMap == got)
     ds.graphs.foreach { g =>
       assert(got(g.id) == TestGraphs.gbd(q, g))
       // within family 0: variant j differs in j edges around the center, so

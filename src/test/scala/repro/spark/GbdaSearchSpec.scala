@@ -7,7 +7,7 @@ import org.apache.spark.sql.DataFrame
 import org.scalatest.concurrent.Eventually._
 import org.scalatest.time.{Seconds, Span}
 
-import repro.SparkSpec
+import repro.{SparkSpec, TestGraphs}
 import repro.TestGraphs.randomSmall
 import repro.core.{Gbda, GbdaModel}
 import repro.graphs.{Edge, GraphGen, LabeledGraph}
@@ -73,7 +73,8 @@ class GbdaSearchSpec extends SparkSpec {
   /** Asserts the served answer on `df`, the encoding of `graphs`, equals `Gbda.search`'s. */
   private def assertServedEqualsReference(df: DataFrame, q: LabeledGraph, gamma: Double,
       graphs: Seq[LabeledGraph] = db, m: GbdaModel = model): Unit = {
-    val ref = Gbda.search(graphs.map(g => (g.id, g.n, g.branches)), q.n, q.branches, m, gamma)
+    val dict = GraphFrames.dictionary(df)
+    val ref = Gbda.search(graphs.map(g => (g.id, g.n, dict.ids(g.branches))), q.n, dict.ids(q.branches), m, gamma)
       .map(t => t._1 -> (t._2, t._3)).toMap
     val got = served(df, q, gamma, m)
     assert(got.keySet == ref.keySet, s"query=${q.id} gamma=$gamma")
@@ -108,7 +109,8 @@ class GbdaSearchSpec extends SparkSpec {
     val df = GraphFrames.toBranchDf(spark, withEmpty).cache()
     val m = GbdaSearch.fitModel(df, tauHat = 3, nPairs = 300, seed = 5)
     assert(Gbda.phi(0, 0L, m) == 1.0)
-    val ref = Gbda.search(withEmpty.map(g => (g.id, g.n, g.branches)), 0, Array.empty, m, 0.9)
+    val dict = GraphFrames.dictionary(df)
+    val ref = Gbda.search(withEmpty.map(g => (g.id, g.n, dict.ids(g.branches))), 0, Array.empty, m, 0.9)
     assert(ref == Seq((7000L, 0, 1.0)))
     for (query <- Seq(q, db(2)); gamma <- Seq(0.0, 0.5, 0.9))
       assertServedEqualsReference(df, query, gamma, withEmpty, m)
@@ -120,6 +122,34 @@ class GbdaSearchSpec extends SparkSpec {
     assert(em.phiTable.isEmpty)
     assert(served(emptyDf, q, 0.9, em) == Map(7000L -> (0, 1.0), 7002L -> (0, 1.0)))
     emptyDf.unpersist()
+  }
+
+  test("query branches absent from the dictionary map to -1 and match no graph; served GBD is Def. 4's") {
+    // Separator and multi-byte labels next to the clustered database.
+    val odd = Seq(
+      LabeledGraph(8000L, Array("é", "|", "中"), Array(Edge(0, 1, ","), Edge(1, 2, "\\"))),
+      LabeledGraph(8001L, Array("A", "中", "\uD83D\uDE00", ""), Array(Edge(0, 1, "x"), Edge(1, 3, "|,"))))
+    val graphs = db ++ odd
+    val df = GraphFrames.toBranchDf(spark, graphs).cache()
+    val dict = GraphFrames.dictionary(df)
+    // Two copies of one absent branch, two other absent ones and the present "A|x" of graph 8001.
+    val absent = LabeledGraph(8100L, Array("ZZ", "ZZ", "中", "A", "B"), Array(Edge(2, 4, "qq"), Edge(3, 4, "x")))
+    val ids = dict.ids(absent.branches)
+    assert(absent.branches.count(b => dict.id(b) < 0) == 4)
+    assert(ids.sameElements(Array.fill(4)(-1) :+ dict.id("A|x")) && dict.id("A|x") >= 0)
+    assert(dict.ids(Array.empty[String]).isEmpty)
+    val empty = LabeledGraph(8101L, Array.empty[String], Array.empty[Edge])
+    val m = GbdaSearch.fitModel(df, tauHat = 3, nPairs = 300, seed = 5)
+    val byId = graphs.map(g => g.id -> g).toMap
+    val answers = Seq(absent, empty, odd(0).copy(id = 8102L), odd(1), db(4).copy(id = 8103L)).map { q =>
+      val got = served(df, q, 0.0, m)
+      assert(got.keySet == byId.keySet, s"query=${q.id}")
+      got.foreach { case (gid, (gbd, _)) => assert(gbd == TestGraphs.gbd(q, byId(gid)), s"query=${q.id} gid=$gid") }
+      q.id -> got
+    }.toMap
+    // A query equal to a database graph is at GBD 0 from it.
+    assert(answers(8102L)(odd(0).id)._1 == 0 && answers(8103L)(db(4).id)._1 == 0)
+    df.unpersist()
   }
 
   test("4 threads searching one DataFrame at once get the sequential answers") {
