@@ -30,14 +30,14 @@ class OnlineEfficiencyBench extends SparkSpec {
   }
 
   test("online efficiency vs n on Syn-1-lite (Fig. 15)") {
-    val rows = Efficiency.synRows(scaleFree = true,
+    val rows = Efficiency.synRows(spark, scaleFree = true,
       sizes = Seq(100, 200, 500, 1000, 2000, 5000, 10000, 20000))
     println(Efficiency.renderSyn(rows))
     checkShape(rows)
   }
 
   test("online efficiency vs n on Syn-2-lite (Fig. 16)") {
-    val rows = Efficiency.synRows(scaleFree = false,
+    val rows = Efficiency.synRows(spark, scaleFree = false,
       sizes = Seq(100, 200, 500, 1000, 2000, 5000, 10000, 20000))
     println(Efficiency.renderSyn(rows))
     checkShape(rows)

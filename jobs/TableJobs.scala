@@ -33,8 +33,8 @@ object OnlineEfficiencyJob {
     val spark = JobSession.local("online-efficiency")
     try {
       println(Efficiency.renderReal(Efficiency.realRows(spark)))
-      println(Efficiency.renderSyn(Efficiency.synRows(scaleFree = true)))
-      println(Efficiency.renderSyn(Efficiency.synRows(scaleFree = false)))
+      println(Efficiency.renderSyn(Efficiency.synRows(spark, scaleFree = true)))
+      println(Efficiency.renderSyn(Efficiency.synRows(spark, scaleFree = false)))
     } finally spark.stop()
   }
 }

@@ -1,5 +1,7 @@
 package repro.core
 
+import scala.collection.parallel.CollectionConverters._
+
 /** The fitted offline state of Algorithm 1 (Step 1*) as plain data: the GMM
   * GBD prior, the alphabet sizes that enter `D` (Eq. 13), and per extended
   * size `v = |V₁'|` two rows computed together by [[tabulate]] — the
@@ -23,7 +25,7 @@ final case class GbdaModel(
     * φ ∈ [0, 2τ̂], both from one Λ₁ matrix. `Φ = Σ_{τ≤τ̂} Λ₁·F / Pr[GBD=φ]`
     * (Eq. 3) is clamped to [0, 1]. This is the only place Φ is computed.
     */
-  def tabulate(v: Long): (Array[Double], Array[Double]) = {
+  private[core] def tabulate(v: Long): (Array[Double], Array[Double]) = {
     val (l1, dl1) = BranchModel.lambda1Matrix(tauHat, ModelParams(v, nVertexLabels, nEdgeLabels))
     val prior = JeffreysPrior.fromLambda1(l1, dl1)
     val phi = Array.tabulate(2 * tauHat + 1) { gbd =>
@@ -33,15 +35,19 @@ final case class GbdaModel(
     (prior, phi)
   }
 
-  /** Copy with the rows of [[tabulate]] added, one `(v, (F, Φ))` per size. */
-  def withRows(rows: Iterable[(Long, (Array[Double], Array[Double]))]): GbdaModel =
-    copy(gedPrior = gedPrior ++ rows.map { case (v, (f, _)) => v -> f },
-      phiTable = phiTable ++ rows.map { case (v, (_, phi)) => v -> phi })
-
-  /** Copy with rows for every v in `vs`; v = 0 needs none (see [[Gbda.phi]]). */
+  /** Copy with rows for every v in `vs`; v = 0 needs none (see [[Gbda.phi]]).
+    * This is the only way a row is added: the sizes the model lacks are
+    * tabulated in parallel on the driver, each by [[tabulate]], so a row does
+    * not depend on which other sizes are tabulated with it.
+    */
   def ensureVs(vs: Seq[Long]): GbdaModel = {
     val missing = vs.distinct.filter(v => v > 0 && !phiTable.contains(v))
-    if (missing.isEmpty) this else withRows(missing.map(v => v -> tabulate(v)))
+    if (missing.isEmpty) this
+    else {
+      val rows = missing.par.map(v => v -> tabulate(v)).seq
+      copy(gedPrior = gedPrior ++ rows.map { case (v, (f, _)) => v -> f },
+        phiTable = phiTable ++ rows.map { case (v, (_, phi)) => v -> phi })
+    }
   }
 
   /** Re-target the model to a different similarity threshold: the GMM GBD

@@ -3,6 +3,7 @@ package repro.graphs
 /** An undirected edge between vertex indices `u < v` with a label. */
 final case class Edge(u: Int, v: Int, label: String) extends Serializable {
   require(u < v, s"edge endpoints must satisfy u < v (simple graphs, no self-loops): ($u, $v)")
+  require(label != null, s"edge ($u, $v): the label is null")
 }
 
 /** Simple labelled undirected graph (Section 2): vertices are indexed
@@ -18,6 +19,7 @@ final case class Edge(u: Int, v: Int, label: String) extends Serializable {
 final case class LabeledGraph(id: Long, vertexLabels: Array[String], edges: Array[Edge])
     extends Serializable {
   val n: Int = vertexLabels.length
+  require(!vertexLabels.contains(null), s"graph $id: vertex ${vertexLabels.indexOf(null)} has a null label")
   edges.foreach(e =>
     require(e.u >= 0 && e.v < n, s"graph $id: edge (${e.u}, ${e.v}) outside 0 until $n"))
   require(edges.iterator.map(e => (e.u, e.v)).distinct.size == edges.length,

@@ -3,8 +3,8 @@ package repro.harness
 import org.apache.spark.sql.SparkSession
 
 import repro.baselines.{BipartiteGed, GraphTooLargeException, GreedyGed, Seriation}
-import repro.core.{Gbda, GbdaModel}
-import repro.graphs.{BranchDictionary, GraphGen, LabeledGraph}
+import repro.core.Gbda
+import repro.graphs.{GraphGen, LabeledGraph}
 import repro.spark.{GbdaSearch, GraphFrames}
 
 /** Online-stage efficiency tables (the paper's Figures 14–16, tabulated).
@@ -81,7 +81,8 @@ object Efficiency {
     */
   private val SynPriorPairs = 50
 
-  def synRows(scaleFree: Boolean,
+  def synRows(spark: SparkSession,
+              scaleFree: Boolean,
               sizes: Seq[Int] = Seq(100, 200, 500, 1000, 2000, 5000, 10000, 20000),
               tauHat: Int = 10,
               seed: Long = 31): Seq[SynRow] = {
@@ -91,13 +92,11 @@ object Efficiency {
       val gs = ds.graphs
       val samplePairs = Seq((gs(0), gs(5)), (gs(2), gs(7)), (gs(1), gs(9)))
 
-      // GBDA model: the GBD prior over the family's branch ids + the F and Φ
-      // rows at v=n. The ids are pre-computed, as the encoded database stores them.
-      val dict = BranchDictionary.of(gs.map(_.branches))
-      val ids = gs.map(g => g.id -> dict.ids(g.branches)).toMap
-      val (nVL, nEL) = LabeledGraph.alphabetSizes(gs)
-      val gmm = GbdaSearch.fitGbdPrior(gs.map(g => ids(g.id)).toArray, SynPriorPairs, seed)
-      val model = GbdaModel(tauHat, nVL, nEL, gmm).ensureVs(Seq(n.toLong))
+      // GBDA: the family encoded and fitted as a served database, and each
+      // graph's branch ids as the encoded database stores them.
+      val (model, ids) = GbdaRuns.fitted(spark, gs, Nil, Seq(tauHat), SynPriorPairs) { (df, models) =>
+        (models.head._2, GbdaSearch.collectRows(df).map(r => r._1 -> r._3).toMap)
+      }
 
       val reps = if (n <= 500) 3 else 1
       def time(method: String, maxN: Int)(f: (LabeledGraph, LabeledGraph) => Unit): SynRow =

@@ -14,16 +14,13 @@ object Table3GbdPrior {
 
   final case class Row(name: String, nPairs: Int, timeMs: Double, spaceBytes: Long, gmm: Gmm)
 
-  /** Seed of the pair sample, the default seed of [[GbdaSearch.fitModel]]. */
-  val Seed = 7L
-
   /** Run the full GBD-prior pipeline on one dataset. */
   def run(spark: SparkSession, name: String, db: Seq[repro.graphs.LabeledGraph], nPairs: Int): Row = {
     // The cached rows are materialized outside the timed region (stored structures).
     val (result, ms) = GbdaRuns.cached(spark, db) { graphsDf =>
       TableText.timeMs {
         // Steps 1.1–1.3: fitModel's own pass over the rows, pair sampling, GBDs and GMM fit
-        val gmm = GbdaSearch.fitGbdPrior(GbdaSearch.collectRows(graphsDf).map(_._3), nPairs, Seed)
+        val gmm = GbdaSearch.fitGbdPrior(GbdaSearch.collectRows(graphsDf).map(_._3), nPairs, GbdaSearch.PriorSeed)
         // Step 1.4: tabulate Pr[GBD=φ], φ ∈ [0, n]
         val nMax = db.map(_.n).max
         val table = Array.tabulate(nMax + 1)(phi => gmm.intervalProb(phi.toDouble))

@@ -13,13 +13,13 @@ import scala.util.Random
 
 /** Distributed GBDA (Algorithm 1).
   *
-  * Offline stage ([[fitModel]]), two Spark jobs: one pass over the rows
+  * Offline stage ([[fitModel]]), one Spark job: one pass over the rows
   * `(gid, nv, branches)` brings every graph's size and branch multiset to
   * the driver, which samples graph pairs, computes their GBDs and fits the
-  * GMM prior (Eq. 14–15); then, for every distinct extended size v, one
-  * Spark task per v tabulates the Jeffreys GED prior `F(τ,v)` (Eq. 16) and
-  * the posterior `Φ(φ,v)` (Eq. 3) — mirroring the paper's fully parallel
-  * offline processes (Section 7.2).
+  * GMM prior (Eq. 14–15); then [[GbdaModel.ensureVs]] tabulates, for every
+  * distinct extended size v, the Jeffreys GED prior `F(τ,v)` (Eq. 16) and
+  * the posterior `Φ(φ,v)` (Eq. 3), the sizes in parallel on the driver's
+  * cores — the paper's parallel offline processes (Section 7.2).
   *
   * Online stage ([[search]]): a query is one `runJob` over the internal
   * rows `(gid, nv, branches)` of the database DataFrame — the plan the
@@ -33,9 +33,12 @@ object GbdaSearch {
   /** Components of the GMM GBD prior (the paper's K = 3). */
   val GmmComponents = 3
 
-  /** Offline Step 1*: fit both priors from the database DataFrame, in two
-    * Spark jobs: [[collectRows]], then the F/Φ rows. Nothing is shuffled or
-    * persisted.
+  /** Seed of the GBD prior's pair sample, [[fitModel]]'s default. */
+  val PriorSeed = 7L
+
+  /** Offline Step 1*: fit both priors from the database DataFrame in one
+    * Spark job, [[collectRows]]; the GBD prior and the F/Φ rows are computed
+    * on the driver. Nothing is shuffled or persisted.
     *
     * @param graphs  branch DataFrame from [[GraphFrames.toBranchDf]]
     * @param nPairs  number of sampled pairs for the GBD prior (α% · |D|²)
@@ -46,22 +49,12 @@ object GbdaSearch {
       graphs: DataFrame,
       tauHat: Int,
       nPairs: Int,
-      seed: Long = 7,
+      seed: Long = PriorSeed,
       extraVs: Seq[Long] = Nil): GbdaModel = {
-    val sc = graphs.sparkSession.sparkContext
     val (nVL, nEL) = GraphFrames.alphabetSizes(graphs)
     val rows = collectRows(graphs)
-
-    val gmm = fitGbdPrior(rows.map(_._3), nPairs, seed)
-
-    // F and Φ rows per distinct extended size, one Spark task per v; v = 0
-    // (two empty graphs) needs no row, as Φ is 1 there.
-    val unfitted = GbdaModel(tauHat, nVL, nEL, gmm)
-    val vs = (rows.map(_._2.toLong) ++ extraVs).distinct.filter(_ > 0).toSeq
-    unfitted.withRows(sc
-      .parallelize(vs, math.max(1, math.min(vs.size, sc.defaultParallelism)))
-      .map(v => (v, unfitted.tabulate(v)))
-      .collect())
+    GbdaModel(tauHat, nVL, nEL, fitGbdPrior(rows.map(_._3), nPairs, seed))
+      .ensureVs(rows.map(_._2.toLong).toSeq ++ extraVs)
   }
 
   /** Every graph's `(gid, nv, branch ids)` in partition order, which is

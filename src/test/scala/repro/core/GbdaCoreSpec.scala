@@ -1,12 +1,47 @@
 package repro.core
 
-import org.scalatest.funsuite.AnyFunSuite
+import repro.{SparkSpec, TestGraphs}
+import repro.spark.{GbdaSearch, GraphFrames}
 
-class GbdaCoreSpec extends AnyFunSuite {
+class GbdaCoreSpec extends SparkSpec {
 
   private def model(tauHat: Int, vs: Seq[Long]): GbdaModel = {
     val gmm = Gmm.fit(Array(1.0, 2.0, 3.0, 3.0, 4.0, 5.0, 6.0, 8.0), k = 2)
     GbdaModel(tauHat, 3, 3, gmm).ensureVs(vs)
+  }
+
+  /** Asserts that every F and Φ row of `m` is bit-identical to a serial
+    * `tabulate(v)` of `m`, whatever parallel path added the row.
+    */
+  private def assertRowsAreSerial(m: GbdaModel): Unit = {
+    assert(m.phiTable.keySet == m.gedPrior.keySet)
+    for (v <- m.phiTable.keys) {
+      val (f, phi) = m.tabulate(v)
+      assert(java.util.Arrays.equals(m.gedPrior(v), f), s"F row, v=$v")
+      assert(java.util.Arrays.equals(m.phiTable(v), phi), s"Phi row, v=$v")
+    }
+  }
+
+  test("ensureVs over sizes 1..60 and withTauHat give the serial tabulate's rows bit for bit") {
+    val m = model(5, 1L to 60L)
+    assert(m.phiTable.keySet == (1L to 60L).toSet)
+    assertRowsAreSerial(m)
+    for (th <- Seq(0, 2, 5, 10)) {
+      val re = m.withTauHat(th)
+      assert(re.tauHat == th && re.phiTable.keySet == m.phiTable.keySet)
+      assertRowsAreSerial(re)
+    }
+  }
+
+  test("a fitted model's F and Phi rows are the serial tabulate's bit for bit, also after withTauHat") {
+    val db = (1 to 40).map(s => TestGraphs.randomSmall(s, 2 + s % 12))
+    val df = GraphFrames.toBranchDf(spark, db).cache()
+    try {
+      val m = GbdaSearch.fitModel(df, tauHat = 4, nPairs = 200, extraVs = Seq(20L, 33L, 3L))
+      assert(m.phiTable.keySet == (db.map(_.n.toLong) ++ Seq(20L, 33L)).toSet)
+      assertRowsAreSerial(m)
+      assertRowsAreSerial(m.withTauHat(2))
+    } finally df.unpersist()
   }
 
   test("phi equals the hand-assembled Bayes sum (wiring check)") {

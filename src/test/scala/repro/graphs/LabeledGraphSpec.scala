@@ -80,6 +80,13 @@ class LabeledGraphSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](LabeledGraph(1L, Array("A", "B"), Array(Edge(-1, 1, "x"))))
   }
 
+  test("null vertex and edge labels are rejected at construction, naming the graph or edge") {
+    val v = intercept[IllegalArgumentException](LabeledGraph(1L, Array("A", null), Array.empty))
+    assert(v.getMessage.contains("graph 1") && v.getMessage.contains("vertex 1"), v.getMessage)
+    val e = intercept[IllegalArgumentException](Edge(0, 1, null))
+    assert(e.getMessage.contains("(0, 1)"), e.getMessage)
+  }
+
   test("two edges between the same pair of vertices are rejected") {
     intercept[IllegalArgumentException](
       LabeledGraph(1L, Array("A", "B", "C"), Array(Edge(0, 1, "x"), Edge(1, 2, "x"), Edge(0, 1, "y"))))

@@ -125,7 +125,7 @@ class HarnessSpec extends SparkSpec {
   }
 
   test("Efficiency.synRows respects the feasibility caps") {
-    val rows = Efficiency.synRows(scaleFree = true, sizes = Seq(60, 1100), tauHat = 3)
+    val rows = Efficiency.synRows(spark, scaleFree = true, sizes = Seq(60, 1100), tauHat = 3)
     val at60 = rows.filter(_.n == 60)
     assert(at60.forall(_.perCompMs.isDefined))
     val lsap1100 = rows.find(r => r.n == 1100 && r.method == "LSAP").get

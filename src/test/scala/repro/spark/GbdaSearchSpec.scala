@@ -234,8 +234,8 @@ class GbdaSearchSpec extends SparkSpec {
     assert(jobsIn("gbda-search")(GbdaSearch.search(dbDf, m, db(7), gamma = 0.5).collect()) == 1)
   }
 
-  test("fitModel runs exactly two Spark jobs") {
+  test("fitModel runs exactly one Spark job") {
     dbDf.count()
-    assert(jobsIn("gbda-fit")(GbdaSearch.fitModel(dbDf, tauHat = 3, nPairs = 300, seed = 5)) == 2)
+    assert(jobsIn("gbda-fit")(GbdaSearch.fitModel(dbDf, tauHat = 3, nPairs = 300, seed = 5)) == 1)
   }
 }
