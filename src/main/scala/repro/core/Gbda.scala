@@ -52,10 +52,12 @@ final case class GbdaModel(
 
   /** Re-target the model to a different similarity threshold: the GMM GBD
     * prior is τ̂-independent, but `F(τ, v)` is normalized over τ ∈ [0, τ̂], so
-    * every size the model holds is re-tabulated.
+    * every size the model holds is re-tabulated; at the model's own τ̂ the
+    * model is returned as it is.
     */
   def withTauHat(newTauHat: Int): GbdaModel =
-    copy(tauHat = newTauHat, gedPrior = Map.empty, phiTable = Map.empty).ensureVs(gedPrior.keys.toSeq)
+    if (newTauHat == tauHat) this
+    else copy(tauHat = newTauHat, gedPrior = Map.empty, phiTable = Map.empty).ensureVs(gedPrior.keys.toSeq)
 }
 
 object GbdaModel {

@@ -108,6 +108,11 @@ class GbdaCoreSpec extends SparkSpec {
     m.gedPrior.values.foreach { p => assert(p.length == 3 && math.abs(p.sum - 1.0) < 1e-9) }
   }
 
+  test("withTauHat at the model's own threshold returns the model without retabulating") {
+    val m = model(5, Seq(4L, 7L))
+    assert(m.withTauHat(m.tauHat) eq m)
+  }
+
   test("withTauHat retabulates Phi with rows of the new length") {
     val m = model(5, Seq(4L)).withTauHat(2).ensureVs(Seq(7L))
     val fresh = model(2, Seq(4L, 7L))

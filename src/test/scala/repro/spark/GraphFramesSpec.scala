@@ -1,8 +1,11 @@
 package repro.spark
 
+import java.nio.charset.StandardCharsets.{ISO_8859_1, UTF_8}
+import java.util.concurrent.{CyclicBarrier, Executors, TimeUnit}
+
+import org.apache.spark.SparkEnv
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions.col
-import org.apache.spark.sql.types.Metadata
 
 import repro.{CatalystGbd, SparkSpec, TestGraphs}
 import repro.TestGraphs.{g1, g2, randomSmall}
@@ -27,9 +30,7 @@ class GraphFramesSpec extends SparkSpec {
     graphs.foreach(g => assert(rows(g.id) == (g.n, g.branches.toSeq), s"gid=${g.id}"))
   }
 
-  // The branches are now extracted and interned on the driver inside
-  // toBranchDf; the test keeps its original name.
-  test("withBranches UDF equals the in-memory branch extraction") {
+  test("dictionary ids are the ranks of the database's sorted distinct branches") {
     val df = GraphFrames.toBranchDf(spark, graphs)
     val dict = GraphFrames.dictionary(df)
     // An id is the rank of its branch among the database's distinct branches.
@@ -44,22 +45,57 @@ class GraphFramesSpec extends SparkSpec {
     assert(e.getMessage.contains("duplicate graph id 424242"))
   }
 
-  test("the branches field metadata of the n = 2000 Syn-lite subset stays under 256 bytes") {
-    // Thousands of distinct branches: a dictionary stored in the metadata
-    // would ship with every query's task binary.
+  test("the planned RDD of the n = 2000 Syn-lite subset serializes with none of its branch signatures") {
+    // Thousands of distinct branches: a dictionary in the lineage would ship
+    // with every query's task binary.
     val ds = Datasets.synSubset(2000, scaleFree = true)
-    assert(ds.graphs.flatMap(_.branches).distinct.size > 1000)
+    val sigs = ds.graphs.flatMap(_.branches).distinct
+    assert(sigs.size > 1000)
     val df = GraphFrames.toBranchDf(spark, ds.graphs)
-    val json = df.schema("branches").metadata.json
-    assert(json.getBytes("UTF-8").length < 256, json)
+    val buf = SparkEnv.get.closureSerializer.newInstance().serialize(df.queryExecution.toRdd)
+    val bytes = new Array[Byte](buf.remaining)
+    buf.get(bytes)
+    // Latin-1 maps bytes to chars one to one, so a substring is a byte run.
+    val text = new String(bytes, ISO_8859_1)
+    sigs.foreach(sig => assert(!text.contains(new String(sig.getBytes(UTF_8), ISO_8859_1)), sig))
   }
 
-  test("alphabetSizes rejects a DataFrame whose branches field has no alphabet metadata") {
+  test("alphabetSizes and dictionary reject a DataFrame that toBranchDf did not build") {
+    val s = spark
+    import s.implicits._
+    val bare = Seq((1L, 1, Seq(0))).toDF("gid", "nv", "branches")
+    for (lookup <- Seq[DataFrame => Any](GraphFrames.alphabetSizes, GraphFrames.dictionary)) {
+      val e = intercept[IllegalArgumentException](lookup(bare))
+      assert(e.getMessage.contains("toBranchDf"))
+    }
+  }
+
+  test("a projection of an encoded DataFrame keeps its alphabet sizes and dictionary") {
     val df = GraphFrames.toBranchDf(spark, graphs)
-    assert(GraphFrames.alphabetSizes(df) == LabeledGraph.alphabetSizes(graphs))
-    val bare = df.select(col("gid"), col("nv"), col("branches").as("branches", Metadata.empty))
-    val e = intercept[IllegalArgumentException](GraphFrames.alphabetSizes(bare))
-    assert(e.getMessage.contains("toBranchDf"))
+    val projected = df.select(col("branches"), col("gid"))
+    assert(GraphFrames.alphabetSizes(projected) == LabeledGraph.alphabetSizes(graphs))
+    assert(GraphFrames.dictionary(projected) eq GraphFrames.dictionary(df))
+  }
+
+  test("4 threads encoding their own databases at once each find their own dictionary and alphabet sizes") {
+    val dbs = (0 until 4).map(t => (1 to 12).map(s => randomSmall(1000L * t + s, 3 + s % 5, nVL = 2 + t, nEL = 1 + t)))
+    assert(dbs.map(LabeledGraph.alphabetSizes).distinct.size == dbs.size)
+    val start = new CyclicBarrier(dbs.size)
+    val pool = Executors.newFixedThreadPool(dbs.size)
+    try {
+      val found = dbs.map(db => pool.submit { () =>
+        start.await()
+        val df = GraphFrames.toBranchDf(spark, db)
+        (GraphFrames.dictionary(df), GraphFrames.alphabetSizes(df), decoded(df, db))
+      })
+      dbs.zip(found).foreach { case (db, f) =>
+        val (dict, sizes, rows) = f.get(120, TimeUnit.SECONDS)
+        val decode = TestGraphs.branchDecoder(db)
+        db.flatMap(_.branches).distinct.foreach(b => assert(decode(Seq(dict.id(b))) == Seq(b), b))
+        assert(sizes == LabeledGraph.alphabetSizes(db))
+        db.foreach(g => assert(rows(g.id) == (g.n, g.branches.toSeq), s"gid=${g.id}"))
+      }
+    } finally pool.shutdown()
   }
 
   test("branch column is sorted ascending (canonical multiset order)") {
@@ -89,7 +125,7 @@ class GraphFramesSpec extends SparkSpec {
     assert(counts == Map("A|" -> 3L))
   }
 
-  test("empty edge list and single-vertex graphs survive the codec") {
+  test("empty edge list and single-vertex graphs survive the encoder") {
     val tiny = LabeledGraph(77L, Array("X"), Array.empty)
     val empty = LabeledGraph(78L, Array.empty, Array.empty)
     val df = GraphFrames.toBranchDf(spark, Seq(tiny, empty))
