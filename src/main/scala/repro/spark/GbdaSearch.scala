@@ -3,12 +3,10 @@ package repro.spark
 import org.apache.spark.TaskContext
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.catalyst.InternalRow
-import org.apache.spark.sql.types._
 
 import repro.core._
 import repro.graphs.LabeledGraph
 
-import scala.jdk.CollectionConverters._
 import scala.util.Random
 
 /** Distributed GBDA (Algorithm 1).
@@ -94,17 +92,24 @@ object GbdaSearch {
     }
   }
 
-  private val hitSchema = StructType(Seq(
-    StructField("gid", LongType, nullable = false),
-    StructField("gbd", IntegerType, nullable = false),
-    StructField("phi", DoubleType, nullable = false)))
+  /** The answer to one served query: the rows `(gid: Long, gbd: Int,
+    * phi: Double)` with `Φ ≥ γ`, in partition order, and `scanned`, the
+    * number of rows its job scored. Plain rows, never a Dataset, so reading
+    * them does no Catalyst work.
+    */
+  final class Hits private[spark] (rows: Array[Row], val scanned: Long) {
 
-  /** Online stage for one query: returns `(gid, gbd, phi)` rows with
+    /** The hit rows, `(gid, gbd, phi)` with `Φ ≥ γ`. */
+    def collect(): Array[Row] = rows
+  }
+
+  /** Online stage for one query: returns the `(gid, gbd, phi)` rows with
     * `Φ ≥ γ` (Steps 2–4 of Algorithm 1). Φ lies in [0, 1], so `γ = 0`
     * scores every graph.
     *
-    * The search is eager: it runs exactly one Spark job and returns its
-    * hits as a local DataFrame, whose actions start no further job. The
+    * The search is eager: it runs exactly one Spark job and returns the rows
+    * that job kept as plain [[Hits]], so a query does no Catalyst work at
+    * all (no Dataset is analysed, planned or executed for the result). The
     * driver maps the query's branches to ids of the database's dictionary
     * once (a branch no graph has becomes −1). The job runs over
     * `graphs.queryExecution.toRdd`, the internal rows that [[collectRows]]
@@ -117,29 +122,34 @@ object GbdaSearch {
     *
     * @param graphs branch DataFrame from [[GraphFrames.toBranchDf]]
     */
-  def search(graphs: DataFrame, model: GbdaModel, query: LabeledGraph, gamma: Double): DataFrame = {
+  def search(graphs: DataFrame, model: GbdaModel, query: LabeledGraph, gamma: Double): Hits = {
     // fitModel tabulates every |V_G|, so v = max(|V_Q|, |V_G|) can only be
     // missing when it is |V_Q|; any other gap (a model fitted on another
     // database) fails Gbda.phi's check.
     val m = model.ensureVs(Seq(query.n.toLong))
     val task = new ScoreRows(query.n, GraphFrames.dictionary(graphs).ids(query.branches), m, gamma)
-    val hits = graphs.sparkSession.sparkContext.runJob(graphs.queryExecution.toRdd, task)
-    graphs.sparkSession.createDataFrame(hits.iterator.flatten.toSeq.asJava, hitSchema)
+    val parts = graphs.sparkSession.sparkContext.runJob(graphs.queryExecution.toRdd, task)
+    new Hits(parts.flatMap(_._2), parts.map(_._1).sum)
   }
 
   /** The task of one served query: scores each internal row of a partition
-    * against the query's size and branch ids and keeps the rows with
-    * `Φ ≥ γ`. A named class taking the task context, not a lambda: Spark's
-    * closure cleaner re-reads the bytecode of a lambda's enclosing class on
-    * every job (and `runJob` wraps a one-argument function in a lambda of
-    * its own), which cost the driver more per query than scoring the rows.
+    * against the query's size and branch ids and returns the number of rows
+    * scored and the rows with `Φ ≥ γ`. A named class taking the task
+    * context, not a lambda: Spark's closure cleaner re-reads the bytecode of
+    * a lambda's enclosing class on every job (and `runJob` wraps a
+    * one-argument function in a lambda of its own), which cost the driver
+    * more per query than scoring the rows.
     */
   private final class ScoreRows(queryN: Int, queryBranches: Array[Int], model: GbdaModel, gamma: Double)
-      extends ((TaskContext, Iterator[InternalRow]) => Array[Row]) with Serializable {
-    def apply(context: TaskContext, rows: Iterator[InternalRow]): Array[Row] =
-      rows.flatMap { r =>
+      extends ((TaskContext, Iterator[InternalRow]) => (Long, Array[Row])) with Serializable {
+    def apply(context: TaskContext, rows: Iterator[InternalRow]): (Long, Array[Row]) = {
+      var scanned = 0L
+      val hits = rows.flatMap { r =>
+        scanned += 1
         val (gbd, phi) = Gbda.score(r.getInt(1), r.getArray(2).toIntArray(), queryN, queryBranches, model)
         if (phi >= gamma) Some(Row(r.getLong(0), gbd, phi)) else None
       }.toArray
+      (scanned, hits)
+    }
   }
 }

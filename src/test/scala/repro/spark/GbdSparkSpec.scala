@@ -179,6 +179,24 @@ class GbdSparkSpec extends SparkSpec {
       df.unpersist()
     }
 
+  for (seed <- 1 to 4)
+    test(s"adversarial labels: served hits scan every graph and equal Gbda.search row for row (seed=$seed)") {
+      val (advDb, queries) = adversarialCase.pureApply(Gen.Parameters.default, Seed(seed.toLong))
+      val df = GraphFrames.toBranchDf(spark, advDb).cache()
+      val dict = GraphFrames.dictionary(df)
+      val model = GbdaSearch.fitModel(df, tauHat = 2, nPairs = 30, seed = seed.toLong)
+      val rows = advDb.map(g => (g.id, g.n, dict.ids(g.branches)))
+      for (q <- queries; gamma <- Seq(0.0, 0.5, 0.9)) {
+        val hits = GbdaSearch.search(df, model, q, gamma)
+        val got = hits.collect().map(r => (r.getLong(0), r.getInt(1), r.getDouble(2))).toSeq
+        assert(hits.scanned == advDb.size, s"query=${q.id} gamma=$gamma")
+        if (gamma == 0.0) assert(got.length == hits.scanned, s"query=${q.id}")
+        // Partition order is the encoding order, which Gbda.search keeps too.
+        assert(got == Gbda.search(rows, q.n, dict.ids(q.branches), model, gamma), s"query=${q.id} gamma=$gamma")
+      }
+      df.unpersist()
+    }
+
   test("pairwiseGbd matches the in-memory GBD on an explicit pair list") {
     import spark.implicits._
     val pairs = for (i <- db.indices; j <- db.indices if i < j) yield (db(i).id, db(j).id)

@@ -1,9 +1,12 @@
 package repro.spark
 
-import java.util.concurrent.{Executors, TimeUnit}
+import java.util.concurrent.{CountDownLatch, Executors, TimeUnit}
+import java.util.concurrent.atomic.AtomicInteger
 
 import org.apache.spark.SparkEnv
+import org.apache.spark.scheduler.{SparkListener, SparkListenerEvent, SparkListenerJobStart}
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.execution.ui.SparkListenerSQLExecutionStart
 import org.scalatest.concurrent.Eventually._
 import org.scalatest.time.{Seconds, Span}
 
@@ -237,5 +240,43 @@ class GbdaSearchSpec extends SparkSpec {
   test("fitModel runs exactly one Spark job") {
     dbDf.count()
     assert(jobsIn("gbda-fit")(GbdaSearch.fitModel(dbDf, tauHat = 3, nPairs = 300, seed = 5)) == 1)
+  }
+
+  /** The number of SQL executions `body` starts. A listener counts them and
+    * then waits for a marker job run after `body`: one listener receives its
+    * events in order, so once it has seen the marker it has seen every event
+    * of `body`.
+    */
+  private def sqlExecutionsIn(body: => Unit): Int = {
+    val sc = spark.sparkContext
+    val markerKey = "repro.test.marker"
+    val marker = s"sql-marker-${System.nanoTime}"
+    val starts = new AtomicInteger(0)
+    val markerSeen = new CountDownLatch(1)
+    val listener = new SparkListener {
+      override def onOtherEvent(event: SparkListenerEvent): Unit = event match {
+        case _: SparkListenerSQLExecutionStart => starts.incrementAndGet()
+        case _ =>
+      }
+      override def onJobStart(job: SparkListenerJobStart): Unit =
+        if (Option(job.properties).exists(_.getProperty(markerKey) == marker)) markerSeen.countDown()
+    }
+    sc.addSparkListener(listener)
+    try {
+      body
+      sc.setLocalProperty(markerKey, marker)
+      try sc.parallelize(Seq(1), 1).count()
+      finally sc.setLocalProperty(markerKey, null)
+      assert(markerSeen.await(30, TimeUnit.SECONDS), "the marker job never reached the listener")
+      starts.get
+    } finally sc.removeSparkListener(listener)
+  }
+
+  test("a served query starts no SQL execution") {
+    val m = model // fit outside the measured window
+    dbDf.count()
+    // The listener sees the SQL executions of a Dataset action.
+    assert(sqlExecutionsIn(dbDf.count()) >= 1)
+    assert(sqlExecutionsIn(GbdaSearch.search(dbDf, m, db(7), gamma = 0.5).collect()) == 0)
   }
 }
